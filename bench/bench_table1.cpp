@@ -103,7 +103,11 @@ int run(bool quick) {
     config.coherence.enabled = coherence;
     config.partition.scheme = scheme;
     config.partition.block_size = 80;
-    config.partition.hybrid_frames = hybrid_frames;
+    // hybrid_frames only means something to the hybrid scheme; the others
+    // pass 0 and keep the (valid) default.
+    if (scheme == PartitionScheme::kHybrid) {
+      config.partition.hybrid_frames = hybrid_frames;
+    }
     config.partition.adaptive = true;
     return render_farm(scene, config);
   };

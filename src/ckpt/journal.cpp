@@ -262,7 +262,6 @@ void JournalWriter::append(JournalRecordType type, const std::string& payload) {
 
 void JournalWriter::region_commit(const RegionCommitRecord& rec) {
   append(JournalRecordType::kRegionCommit, encode_region_commit(rec));
-  ++commits_since_checkpoint_;
 }
 
 void JournalWriter::frame_complete(const FrameCompleteRecord& rec) {
@@ -272,7 +271,6 @@ void JournalWriter::frame_complete(const FrameCompleteRecord& rec) {
 void JournalWriter::checkpoint(const CheckpointRecord& rec) {
   append(JournalRecordType::kCheckpoint, encode_checkpoint(rec));
   ++checkpoints_;
-  commits_since_checkpoint_ = 0;
 }
 
 JournalReplay replay_journal(const std::string& path) {

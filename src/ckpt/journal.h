@@ -153,9 +153,6 @@ class JournalWriter {
   std::int64_t records_appended() const { return records_; }
   std::int64_t bytes_appended() const { return bytes_; }
   std::int64_t checkpoints_written() const { return checkpoints_; }
-  std::int64_t commits_since_checkpoint() const {
-    return commits_since_checkpoint_;
-  }
 
  private:
   JournalWriter(int fd, JournalOptions options)
@@ -169,7 +166,6 @@ class JournalWriter {
   std::int64_t records_ = 0;
   std::int64_t bytes_ = 0;
   std::int64_t checkpoints_ = 0;
-  std::int64_t commits_since_checkpoint_ = 0;
 };
 
 /// Everything replay_journal() recovers from a journal file.

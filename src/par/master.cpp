@@ -17,11 +17,7 @@ RenderMaster::RenderMaster(const AnimatedScene& scene,
     config_.tracer = nullptr;
   }
   if (config_.metrics != nullptr) {
-    decode_failures_ = &config_.metrics->counter("net.frame_decode_failures");
-    ep_frame_bytes_ = &config_.metrics->counter("endpoint.0.frame_bytes");
     ep_digest_bytes_ = &config_.metrics->counter("endpoint.0.digest_bytes");
-    ep_decode_failures_ =
-        &config_.metrics->counter("endpoint.0.frame_decode_failures");
     frames_committed_live_ =
         &config_.metrics->counter("sched.frames_committed");
     stragglers_flagged_ = &config_.metrics->counter("sched.stragglers");
@@ -51,12 +47,8 @@ void RenderMaster::on_start(Context& ctx) {
   workers_.assign(static_cast<std::size_t>(worker_count) + 1, {});
   report_.frames_by_worker.assign(static_cast<std::size_t>(worker_count) + 1,
                                   0);
-  if (!sharded) {
-    // Thin scheduler holds no pixels; frames_ stays empty and the shards
-    // own the framebuffers. The area bookkeeping below still runs on
-    // digests, so scheduling decisions are identical either way.
-    frames_.assign(static_cast<std::size_t>(frames), Framebuffer(w, h));
-  }
+  // The scheduler holds no pixels: its area bookkeeping is a mirror fed by
+  // commit digests, whoever owns the framebuffers.
   frame_area_missing_.assign(static_cast<std::size_t>(frames),
                              std::int64_t{w} * h);
   area_frames_missing_ = std::int64_t{w} * h * frames;
@@ -64,15 +56,13 @@ void RenderMaster::on_start(Context& ctx) {
 
   // Resume: frames the previous run completed (journal record + verified
   // targa on disk) are restored wholesale and never re-enter scheduling.
-  // The thin scheduler marks them complete without touching pixels — the
-  // owning shard loads the images.
+  // The scheduler marks them complete; their owner loads the images.
   std::vector<char> restored(static_cast<std::size_t>(frames), 0);
   if (config_.recovery != nullptr) {
     const RecoveryState& rec = *config_.recovery;
     for (int f = 0; f < frames; ++f) {
       if (f < static_cast<int>(rec.frames.size()) &&
           rec.frames[f].has_value()) {
-        if (!sharded) frames_[f] = *rec.frames[f];
         frame_area_missing_[f] = 0;
         area_frames_missing_ -= std::int64_t{w} * h;
         restored[f] = 1;
@@ -144,13 +134,12 @@ void RenderMaster::on_start(Context& ctx) {
            "tasks must tile area × frames");
   }
 
+  // One sink per process. At shards == 1 it carries every region commit,
+  // frame file and checkpoint; a sharded scheduler only ever checkpoints
+  // through it (each shard owns its frames' sink).
   FrameSinkConfig sink;
-  if (!sharded) {
-    // Sharded runs write TGAs at the shards; the scheduler's sink is
-    // journal-only (header + checkpoint records).
-    sink.output_dir = config_.output_dir;
-    sink.output_prefix = config_.output_prefix;
-  }
+  sink.output_dir = config_.output_dir;
+  sink.output_prefix = config_.output_prefix;
   if (service_ && !config_.output_dir.empty()) {
     // Per-shot output namespacing: a tenant's frames land under its own
     // name, numbered in the shot's scene-local frame space.
@@ -163,7 +152,9 @@ void RenderMaster::on_start(Context& ctx) {
   sink.header.width = w;
   sink.header.height = h;
   sink.header.frame_count = frames;
-  sink.header.shard_count = sharded ? config_.shards.shard_count : 1;
+  sink.header.shard_count = config_.shards.shard_count;
+  // -1 marks a checkpoint-only scheduler journal; at shards == 1 the journal
+  // is also the (only) shard segment.
   sink.header.shard_index = sharded ? -1 : 0;
   sink.resume = config_.recovery != nullptr;
   sink.resume_valid_bytes =
@@ -171,6 +162,17 @@ void RenderMaster::on_start(Context& ctx) {
   sink.metrics = config_.metrics;
   sink.endpoint_rank = 0;
   sink_ = std::make_unique<FrameSink>(sink);
+  if (!sharded) {
+    // shards == 1: the whole framebuffer is one colocated shard core at
+    // rank 0, writing through the same sink. Frame results are committed
+    // in-process and their digests go straight to handle_commit_digest.
+    assembler_ = std::make_unique<FrameAssembler>(0, frames, w, h, sink_.get(),
+                                                  0, config_.metrics);
+    if (config_.recovery != nullptr) {
+      assembler_->restore(config_.recovery->frames,
+                          config_.recovery->frame_commits);
+    }
+  }
   if (!config_.journal_path.empty()) {
     report_.journal_ok = sink_->journal_ok();
     sync_journal_stats();
@@ -235,11 +237,24 @@ void RenderMaster::on_message(Context& ctx, const Message& msg) {
     case kTagRequest:
       handle_idle(ctx, msg.source, /*hello=*/false);
       break;
-    case kTagFrameResult:
-      handle_frame_result(ctx, msg);
+    case kTagFrameResult: {
+      if (assembler_ == nullptr) {
+        // Sharded workers route pixels straight to the owning shard; reaching
+        // this is a routing bug, not a runtime fault.
+        assert(false && "frame result delivered to thin scheduler");
+        ++fault_report_.results_ignored;
+        break;
+      }
+      const FrameAssembler::Commit c =
+          assembler_->commit(msg.source, msg.payload);
+      if (c.frame_completed) {
+        ctx.charge(config_.cost.master_frame_write_seconds);
+      }
+      handle_commit_digest(ctx, c.digest);
       break;
+    }
     case kTagCommitDigest:
-      handle_commit_digest(ctx, msg);
+      receive_commit_digest(ctx, msg);
       break;
     case kTagShrinkAck:
       handle_shrink_ack(ctx, msg);
@@ -663,192 +678,6 @@ void RenderMaster::handle_task_nack(Context& ctx, const Message& msg) {
   maybe_finish(ctx);
 }
 
-void RenderMaster::discard_result(const FrameResult& result, bool wasted_work) {
-  ++fault_report_.results_ignored;
-  if (wasted_work) fault_report_.lost_work_seconds += result.compute_seconds;
-}
-
-void RenderMaster::handle_frame_result(Context& ctx, const Message& msg) {
-  if (config_.shards.sharded()) {
-    // Workers route pixels straight to the owning shard; the thin
-    // scheduler holds no framebuffers to apply a result to. Reaching this
-    // is a routing bug, not a runtime fault.
-    assert(false && "frame result delivered to thin scheduler");
-    ++fault_report_.results_ignored;
-    return;
-  }
-  if (ep_frame_bytes_ != nullptr) {
-    ep_frame_bytes_->inc(static_cast<std::int64_t>(msg.payload.size()));
-  }
-  FrameResult result;
-  if (!decode_frame_result(&result, msg.payload)) {
-    // The envelope failed to decode: CRC mismatch, bad version, or
-    // malformed structure. Count it and treat the message as lost — the
-    // per-sender chain now has a gap, which the next valid result from this
-    // worker (or its lease) turns into a cancel-and-reclaim.
-    if (decode_failures_ != nullptr) decode_failures_->inc();
-    if (ep_decode_failures_ != nullptr) ep_decode_failures_->inc();
-    ++fault_report_.results_ignored;
-    return;
-  }
-
-  if (msg.source < 1 || msg.source >= static_cast<int>(workers_.size())) {
-    ++fault_report_.results_ignored;
-    return;
-  }
-  WorkerState& s = workers_[msg.source];
-  if (s.dead || cancelled_tasks_.count(result.task_id) > 0) {
-    // A falsely-declared-dead worker keeps rendering into the void, and a
-    // cancelled task's results arrive with a broken sparse base: both are
-    // work performed but thrown away.
-    discard_result(result, /*wasted_work=*/true);
-    return;
-  }
-  if (!s.active || s.task.task_id != result.task_id) {
-    discard_result(result, /*wasted_work=*/true);
-    return;
-  }
-  if (result.frame < s.next_expected) {
-    // Duplicated delivery of a result we already applied.
-    discard_result(result, /*wasted_work=*/false);
-    return;
-  }
-  if (result.frame > s.next_expected) {
-    // A result vanished in transit. The region's sparse chain is broken
-    // from the gap onward, so everything undelivered is written off and
-    // re-rendered from a dense restart by whoever picks up the reclaim.
-    cancel_and_reclaim(ctx, msg.source);
-    if (!s.awaiting_ack) {
-      // Tell the worker to stop wasting time on the written-off range.
-      ShrinkRequest req;
-      req.task_id = result.task_id;
-      req.new_end_frame = s.next_expected;
-      s.awaiting_ack = true;
-      ctx.send(msg.source, kTagShrink, encode_shrink(req));
-    }
-    discard_result(result, /*wasted_work=*/true);
-    try_dispatch(ctx);
-    maybe_finish(ctx);
-    return;
-  }
-
-  const int frame = result.frame;
-  const PixelRect& region = result.payload.rect;
-  assert(frame >= 0 && frame < static_cast<int>(frames_.size()));
-
-  if (!result.payload.dense && (frame == 0 || frame == s.task.first_frame)) {
-    // A task's first frame is always a dense key frame (fresh renderer, full
-    // render): a sparse payload here references a predecessor this
-    // assignment never rendered and can only be corruption that slipped past
-    // the CRC. Drop it like a lost message; the gap machinery recovers.
-    if (decode_failures_ != nullptr) decode_failures_->inc();
-    if (ep_decode_failures_ != nullptr) ep_decode_failures_->inc();
-    discard_result(result, /*wasted_work=*/true);
-    return;
-  }
-
-  // Idempotent-commit gate: a (region, frame) already committed — by a
-  // speculation partner or an overlapping reclaim — is acknowledged for the
-  // sender's progress but applied nowhere. Both copies render identical
-  // pixels (the coherence guarantee), so skipping the apply also keeps the
-  // sender's later sparse results valid against frames_[frame - 1].
-  const bool fresh =
-      committed_rects_[frame].insert(rect_key(region)).second;
-  s.next_expected = frame + 1;
-  s.last_progress = ctx.now();
-  s.ping_time = -1.0;
-  if (!fresh) {
-    if (spec_tasks_.count(result.task_id) > 0) {
-      ++fault_report_.speculation_frames_wasted;
-      fault_report_.speculation_wasted_seconds += result.compute_seconds;
-    } else {
-      discard_result(result, /*wasted_work=*/true);
-    }
-    if (s.next_expected >= s.end_frame) {
-      const auto it = spec_partner_.find(result.task_id);
-      if (it != spec_partner_.end()) {
-        finish_speculation(ctx, result.task_id, it->second);
-      }
-    }
-    maybe_finish(ctx);
-    return;
-  }
-
-  // Sparse results carry only recomputed pixels; the rest of the region is
-  // unchanged from the previous frame, which this worker already delivered.
-  if (!result.payload.dense) {
-    assert(frame > 0);
-    frames_[frame].blit(region, frames_[frame - 1].extract(region));
-  }
-  apply_payload(&frames_[frame], result.payload);
-  // The sink's journal digest runs over *decoded* pixels (the assembled
-  // frame), never wire bytes, so raw and delta transports produce identical
-  // journal records and a run may resume under either codec.
-  sink_->commit_region(result.task_id, region, frame, frames_[frame]);
-
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "sched", "frame.result", ctx.now(),
-                            {{"worker", msg.source},
-                             {"frame", frame},
-                             {"full", result.full_render ? 1 : 0}});
-  }
-  note_commit(ctx, msg.source, result.task_id, result.trace_ctx, frame,
-              result.render_seconds);
-  ++report_.frame_results;
-  report_.rays_total += result.rays;
-  report_.shadow_rays_total += result.shadow_rays;
-  report_.pixels_recomputed_total += result.pixels_recomputed;
-  report_.full_renders += result.full_render ? 1 : 0;
-  report_.worker_compute_seconds += result.compute_seconds;
-  ++report_.frames_by_worker[msg.source];
-  if (result.full_render && reassigned_tasks_.count(result.task_id) > 0) {
-    // The coherence-restart price of recovery: the replacement's dense
-    // first frame re-renders pixels the dead worker had already paid for.
-    fault_report_.restart_work_seconds += result.compute_seconds;
-  }
-
-  frame_area_missing_[frame] -= region.area();
-  area_frames_missing_ -= region.area();
-  assert(frame_area_missing_[frame] >= 0);
-  if (frame_area_missing_[frame] == 0) {
-    ++report_.frames_completed;
-    ctx.charge(config_.cost.master_frame_write_seconds);
-    // The sink enforces write-ahead order: the frame file is atomically in
-    // place (temp file + rename) before the record that declares it
-    // durable, so a resume never trusts a frame that isn't wholly on disk.
-    sink_->complete_frame(frame, frames_[frame]);
-    if (service_) {
-      const int sid = shot_of_frame(frame);
-      assert(sid >= 0 && "completed frame belongs to no shot");
-      if (sid >= 0) {
-        Shot& shot = shots_[sid];
-        ++shot.frames_done;
-        Tenant& tenant = tenants_[shot.tenant];
-        ++tenant.frames_committed;
-        if (tenant.frames_counter != nullptr) tenant.frames_counter->inc();
-        if (shot.phase == ShotPhase::kActive &&
-            shot.frames_done >= shot.frame_count) {
-          finish_shot(ctx, shot);
-        }
-      }
-    }
-  }
-  if (sink_->journaling() &&
-      sink_->commits_since_checkpoint() >=
-          std::max(1, config_.journal_checkpoint_every)) {
-    write_checkpoint();
-  }
-  sync_journal_stats();
-
-  if (s.next_expected >= s.end_frame) {
-    const auto it = spec_partner_.find(result.task_id);
-    if (it != spec_partner_.end()) {
-      finish_speculation(ctx, result.task_id, it->second);
-    }
-  }
-  maybe_finish(ctx);
-}
-
 void RenderMaster::release_pending_request(Context& ctx, int worker) {
   WorkerState& s = workers_[worker];
   if (!s.request_pending) return;
@@ -866,7 +695,7 @@ void RenderMaster::release_pending_request(Context& ctx, int worker) {
   try_dispatch(ctx);
 }
 
-void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
+void RenderMaster::receive_commit_digest(Context& ctx, const Message& msg) {
   if (ep_digest_bytes_ != nullptr) {
     ep_digest_bytes_->inc(static_cast<std::int64_t>(msg.payload.size()));
   }
@@ -891,16 +720,20 @@ void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
       return;
     }
   }
-  // The digest vouches for a worker message the shard received: credit the
-  // worker's heartbeat even though the bytes came from the shard's rank.
+  handle_commit_digest(ctx, d);
+}
+
+void RenderMaster::handle_commit_digest(Context& ctx, const CommitDigest& d) {
+  // The digest vouches for a worker message its owner received: credit the
+  // worker's heartbeat even when the bytes came from a shard's rank.
   const bool known_worker =
       d.worker >= 1 && d.worker < static_cast<int>(workers_.size());
   if (known_worker && !workers_[d.worker].dead) {
     workers_[d.worker].last_heard = ctx.now();
   }
   if (d.kind == CommitKind::kDecodeFail) {
-    // The shard could not even decode the envelope, so there is no task to
-    // tie the loss to. The sender's chain now has a gap; the shard rejects
+    // The owner could not even decode the envelope, so there is no task to
+    // tie the loss to. The sender's chain now has a gap; the owner rejects
     // everything after it and the reject digest (or the lease) reclaims.
     ++fault_report_.results_ignored;
     return;
@@ -909,7 +742,7 @@ void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
   // ---- Order-independent accounting ------------------------------------
   // Digest streams from different shards interleave arbitrarily, but a
   // fresh commit is authoritative no matter when its digest lands: the
-  // shard validated the chain, so the pixels are correct by the coherence
+  // owner validated the chain, so the pixels are correct by the coherence
   // guarantee. Commit totals, the committed-rect mirror, and the area
   // bookkeeping therefore apply immediately; only *worker progress* (which
   // drives leases, shrink targets, and reassignment) needs ordering.
@@ -926,6 +759,8 @@ void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
       report_.worker_compute_seconds += d.compute_seconds;
       if (known_worker) ++report_.frames_by_worker[d.worker];
       if (d.full_render && reassigned_tasks_.count(d.task_id) > 0) {
+        // The coherence-restart price of recovery: the replacement's dense
+        // first frame re-renders pixels the dead worker had already paid for.
         fault_report_.restart_work_seconds += d.compute_seconds;
       }
       if (config_.tracer != nullptr) {
@@ -939,19 +774,29 @@ void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
       frame_area_missing_[d.frame] -= d.rect.area();
       area_frames_missing_ -= d.rect.area();
       assert(frame_area_missing_[d.frame] >= 0);
-      if (frame_area_missing_[d.frame] == 0) ++report_.frames_completed;
-      ++digests_since_checkpoint_;
-      if (sink_->journaling() &&
-          digests_since_checkpoint_ >=
-              std::max(1, config_.journal_checkpoint_every)) {
-        write_checkpoint();
+      if (frame_area_missing_[d.frame] == 0) {
+        ++report_.frames_completed;
+        if (service_) {
+          const int sid = shot_of_frame(d.frame);
+          assert(sid >= 0 && "completed frame belongs to no shot");
+          if (sid >= 0) {
+            Shot& shot = shots_[sid];
+            ++shot.frames_done;
+            Tenant& tenant = tenants_[shot.tenant];
+            ++tenant.frames_committed;
+            if (tenant.frames_counter != nullptr) tenant.frames_counter->inc();
+            if (shot.phase == ShotPhase::kActive &&
+                shot.frames_done >= shot.frame_count) {
+              finish_shot(ctx, shot);
+            }
+          }
+        }
       }
-      sync_journal_stats();
       break;
     }
     case CommitKind::kDuplicate:
-      // The shard's commit gate caught a (region, frame) already applied —
-      // the speculation loser or an overlap from reclaim.
+      // The commit gate caught a (region, frame) already applied — the
+      // speculation loser or an overlap from reclaim.
       if (spec_tasks_.count(d.task_id) > 0) {
         ++fault_report_.speculation_frames_wasted;
         fault_report_.speculation_wasted_seconds += d.compute_seconds;
@@ -961,7 +806,7 @@ void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
       }
       break;
     case CommitKind::kStale:
-      // Redelivery behind the shard's chain: already accounted once.
+      // Redelivery behind the owner's chain: already accounted once.
       ++fault_report_.results_ignored;
       break;
     case CommitKind::kChainReject:
@@ -972,63 +817,63 @@ void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
       break;  // handled above
   }
 
-  // ---- Worker progress (order-dependent) -------------------------------
-  if (!known_worker) {
-    maybe_finish(ctx);
-    return;
+  const bool task_done = known_worker && advance_worker(ctx, d);
+  // The checkpoint follows the progress update, so it never records the
+  // committing worker one frame behind its own commit (a resumed scheduler
+  // would re-render a region-frame the journal already holds).
+  if (d.kind == CommitKind::kFresh) {
+    ++digests_since_checkpoint_;
+    if (sink_->journaling() &&
+        digests_since_checkpoint_ >=
+            std::max(1, config_.journal_checkpoint_every)) {
+      write_checkpoint();
+    }
+    sync_journal_stats();
   }
+  if (task_done) {
+    const auto it = spec_partner_.find(d.task_id);
+    if (it != spec_partner_.end()) {
+      finish_speculation(ctx, d.task_id, it->second);
+    }
+    release_pending_request(ctx, d.worker);
+  }
+  maybe_finish(ctx);
+}
+
+bool RenderMaster::advance_worker(Context& ctx, const CommitDigest& d) {
   WorkerState& s = workers_[d.worker];
   if (d.kind == CommitKind::kChainReject) {
-    // The shard saw a gap (or an undecodable chain) in this worker's
-    // stream: same recovery as the single master's gap branch — write the
-    // task off, reclaim the remainder, tell the worker to stop.
+    // The owner saw a gap (a lost result or key frame) in this task's
+    // chain: write the task off, reclaim the remainder, tell the worker to
+    // stop.
     if (!s.dead && s.active && !s.cancelled && s.task.task_id == d.task_id &&
         cancelled_tasks_.count(d.task_id) == 0) {
-      cancel_and_reclaim(ctx, d.worker);
-      if (s.active && !s.awaiting_ack) {
-        ShrinkRequest req;
-        req.task_id = d.task_id;
-        req.new_end_frame = s.next_expected;
-        s.awaiting_ack = true;
-        ctx.send(d.worker, kTagShrink, encode_shrink(req));
-      }
+      write_off(ctx, d.worker);
       try_dispatch(ctx);
     }
-    maybe_finish(ctx);
-    return;
+    return false;
   }
   if (s.dead || cancelled_tasks_.count(d.task_id) > 0 || !s.active ||
       s.cancelled || s.task.task_id != d.task_id ||
       d.frame < s.next_expected) {
     // Progress for an assignment that no longer exists (or a frame the
-    // chain already passed): the global accounting above was the whole
-    // story.
-    maybe_finish(ctx);
-    return;
+    // chain already passed): the global accounting was the whole story.
+    return false;
   }
   if (d.frame > s.next_expected) {
     if (config_.shards.shard_of(d.frame) ==
         config_.shards.shard_of(s.next_expected)) {
-      // Gap within one shard's digest stream. Per-sender FIFO holds on the
-      // worker→shard and shard→scheduler edges, so the missing frame was
-      // genuinely lost: cancel and reclaim, as the single master would.
-      cancel_and_reclaim(ctx, d.worker);
-      if (s.active && !s.awaiting_ack) {
-        ShrinkRequest req;
-        req.task_id = d.task_id;
-        req.new_end_frame = s.next_expected;
-        s.awaiting_ack = true;
-        ctx.send(d.worker, kTagShrink, encode_shrink(req));
-      }
+      // Gap within one owner's digest stream. Per-sender FIFO holds on the
+      // worker→owner and owner→scheduler edges, so the missing frame was
+      // genuinely lost: cancel and reclaim.
+      write_off(ctx, d.worker);
       try_dispatch(ctx);
-      maybe_finish(ctx);
-      return;
+      return false;
     }
     // Cross-shard reordering: a later-owned frame's digest overtook an
     // earlier shard's. Hold it; the chain drains it on catch-up.
     s.deferred_frames.insert(d.frame);
-    maybe_finish(ctx);
-    return;
+    return false;
   }
   // In-order progress: advance the chain and drain anything the reorder
   // buffer already holds.
@@ -1039,14 +884,7 @@ void RenderMaster::handle_commit_digest(Context& ctx, const Message& msg) {
     s.deferred_frames.erase(s.next_expected);
     ++s.next_expected;
   }
-  if (s.next_expected >= s.end_frame) {
-    const auto it = spec_partner_.find(d.task_id);
-    if (it != spec_partner_.end()) {
-      finish_speculation(ctx, d.task_id, it->second);
-    }
-    release_pending_request(ctx, d.worker);
-  }
-  maybe_finish(ctx);
+  return s.next_expected >= s.end_frame;
 }
 
 void RenderMaster::write_checkpoint() {
@@ -1106,6 +944,10 @@ void RenderMaster::cancel_and_reclaim(Context& ctx, int worker) {
   release_assignment(worker);
   s.cancelled = true;
   cancelled_tasks_.insert(s.task.task_id);
+  // A colocated owner learns of the write-off directly and applies nothing
+  // more of the task; remote shards commit its (correct) leftovers and the
+  // gate keeps whichever copy lands first.
+  if (assembler_ != nullptr) assembler_->reject_task(s.task.task_id);
   // A cancelled half of a speculated pair just dissolves the pair: the
   // survivor keeps rendering, the reclaim below double-covers the range,
   // and the idempotent-commit gate keeps whichever copy lands first.
@@ -1166,6 +1008,20 @@ void RenderMaster::cancel_and_reclaim(Context& ctx, int worker) {
     }
   }
   (void)ctx;
+}
+
+void RenderMaster::write_off(Context& ctx, int worker) {
+  WorkerState& s = workers_[worker];
+  const std::int32_t task_id = s.task.task_id;
+  cancel_and_reclaim(ctx, worker);
+  if (s.active && !s.awaiting_ack) {
+    // Tell the worker to stop wasting time on the written-off range.
+    ShrinkRequest req;
+    req.task_id = task_id;
+    req.new_end_frame = s.next_expected;
+    s.awaiting_ack = true;
+    ctx.send(worker, kTagShrink, encode_shrink(req));
+  }
 }
 
 void RenderMaster::declare_dead(Context& ctx, int worker) {
@@ -1357,14 +1213,7 @@ void RenderMaster::rollback_dead_shard(Context& ctx, int shard) {
     WorkerState& s = workers_[w];
     if (s.dead || !s.active || s.cancelled) continue;
     if (s.next_expected < range.second && s.end_frame > range.first) {
-      cancel_and_reclaim(ctx, w);
-      if (s.active && !s.awaiting_ack) {
-        ShrinkRequest req;
-        req.task_id = s.task.task_id;
-        req.new_end_frame = s.next_expected;
-        s.awaiting_ack = true;
-        ctx.send(w, kTagShrink, encode_shrink(req));
-      }
+      write_off(ctx, w);
     }
   }
 }
@@ -1928,8 +1777,7 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
   // Grow the global frame space: the shot's frames live at
   // [base, base + frame_count) and map back to the scene through
   // frame_delta (scene_frame = global_frame + frame_delta).
-  frames_.resize(frames_.size() + static_cast<std::size_t>(sub.frame_count),
-                 Framebuffer(w, h));
+  assembler_->extend(sub.frame_count);
   frame_area_missing_.resize(
       frame_area_missing_.size() + static_cast<std::size_t>(sub.frame_count),
       std::int64_t{w} * h);
@@ -2040,6 +1888,7 @@ void RenderMaster::handle_shot_cancel(Context& ctx, const Message& msg) {
     release_assignment(w);
     s.cancelled = true;
     cancelled_tasks_.insert(s.task.task_id);
+    assembler_->reject_task(s.task.task_id);
     const auto sp = spec_partner_.find(s.task.task_id);
     if (sp != spec_partner_.end()) {
       spec_partner_.erase(sp->second);

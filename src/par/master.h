@@ -1,11 +1,20 @@
-// RenderMaster: assigns tasks, collects pixels, assembles frames, writes
-// files, and performs adaptive re-splitting when workers idle (Section 3).
+// RenderMaster: the scheduler. It assigns tasks, performs adaptive
+// re-splitting when workers idle (Section 3), and drives leases,
+// reassignment, speculation and checkpoints from commit digests.
 //
-// Frame assembly with sparse returns relies on per-sender message ordering
-// (guaranteed by all three runtimes): a sparse result for frame f of a
-// region is applied on top of that region's pixels from frame f-1, which the
-// same worker necessarily delivered earlier. The first frame of every task
-// is always dense.
+// The paper's master also collects pixels and assembles frames. Here that is
+// one commit path whatever the owner count: a FrameAssembler per owner of a
+// frame range decodes each frame result, applies it, writes its journal
+// record and TGA, and answers with a CommitDigest that handle_commit_digest
+// turns into scheduling state. With shards > 1 the assemblers live in
+// FrameShard actors and the digests arrive over the wire; at shards == 1 the
+// master owns one colocated assembler for the whole animation and hands each
+// digest to the same handler in-process (no extra rank, no extra message).
+//
+// Sparse returns rely on per-sender message ordering (guaranteed by all
+// three runtimes): a sparse result for frame f of a region is applied on top
+// of that region's pixels from frame f-1, which the same worker necessarily
+// delivered earlier. The first frame of every task is always dense.
 //
 // Fault tolerance (MasterConfig::fault.enabled): every worker message is a
 // heartbeat; each assignment takes out a *progress* lease (deadline scaled
@@ -18,8 +27,9 @@
 // full first-frame restart (the paper's coherence-restart cost). Messages
 // from dead ranks are ignored forever; duplicated results and results for
 // cancelled tasks are discarded; a gap in a worker's result stream (a lost
-// frame result) cancels the task and reclaims the remainder, because the
-// region's sparse chain is broken from the gap onward. If every worker dies
+// frame result, even the task's dense key frame) cancels the task and
+// reclaims the remainder, because the region's sparse chain is broken from
+// the gap onward. If every worker dies
 // the master stops with whatever frames it has — it never blocks shutdown
 // on a dead rank.
 #pragma once
@@ -47,6 +57,7 @@
 #include "src/par/partition.h"
 #include "src/par/protocol.h"
 #include "src/scene/animated_scene.h"
+#include "src/shard/assembler.h"
 #include "src/shard/digest.h"
 #include "src/shard/frame_sink.h"
 #include "src/shard/ownership.h"
@@ -101,9 +112,9 @@ struct MasterConfig {
   /// Scheduling-decision instants (task.assign, task.split, lease.ping,
   /// worker.dead, ...) on the master's timeline. Null disables.
   EventTracer* tracer = nullptr;
-  /// Sink for net.frame_decode_failures (results whose envelope failed to
-  /// decode — CRC mismatch, bad version, malformed payload — and were
-  /// treated as lost messages). Null disables.
+  /// Sink for the scheduler's live counters and, at shards == 1, the
+  /// colocated assembler's endpoint.0.* and net.frame_decode_failures
+  /// counters. Null disables.
   MetricsRegistry* metrics = nullptr;
   /// Live telemetry plane: when sample_interval_seconds > 0 (and a sampler
   /// or status board is attached) the master arms a kTagSampleTick
@@ -119,12 +130,11 @@ struct MasterConfig {
   /// sched.stragglers counter, worker.straggler trace instants, and the
   /// speculation victim ranking.
   StragglerConfig straggler;
-  /// Frame ownership map. With shards.shard_count > 1 the master runs as a
-  /// *thin scheduler*: it holds no pixels, workers stream frame results
-  /// directly to the owning FrameShard actor, and the master drives all
-  /// scheduling (leases, reassignment, adaptive splits, speculation,
-  /// checkpoints) from the per-result CommitDigests the shards send back.
-  /// The default (count 1) is the classic single-master pipeline.
+  /// Frame ownership map. With shards.shard_count > 1 workers stream frame
+  /// results directly to the owning FrameShard actor, which sends back one
+  /// CommitDigest per result. The default (count 1) keeps the one owner at
+  /// rank 0: a colocated FrameAssembler commits and digests in-process.
+  /// Either way the master schedules from the digests alone.
   ShardMap shards;
   /// Multi-tenant service mode (see MasterServiceConfig). Off by default:
   /// the classic one-animation-per-process behavior is bit-for-bit
@@ -205,10 +215,11 @@ class RenderMaster final : public Actor {
   void on_start(Context& ctx) override;
   void on_message(Context& ctx, const Message& msg) override;
 
-  /// Assembled animation (valid after the runtime finishes). In service
-  /// mode this is the concatenated global frame space; slice per shot with
-  /// shot_summaries()'s base_frame/frame_count.
-  const std::vector<Framebuffer>& frames() const { return frames_; }
+  /// The colocated frame owner at shards == 1 (null when sharded). Its
+  /// frames are the assembled animation, valid after the runtime finishes;
+  /// in service mode they are the concatenated global frame space — slice
+  /// per shot with shot_summaries()'s base_frame/frame_count.
+  const FrameAssembler* assembler() const { return assembler_.get(); }
   const MasterReport& report() const { return report_; }
   const FaultReport& fault_report() const { return fault_report_; }
 
@@ -263,12 +274,19 @@ class RenderMaster final : public Actor {
     double ping_time = -1.0; // outstanding liveness ping (-1 none)
   };
 
-  void handle_frame_result(Context& ctx, const Message& msg);
-  /// Sharded mode: one CommitDigest from a shard, the scheduler's only view
-  /// of a worker's result. Order-independent accounting (commit totals,
-  /// area bookkeeping, checkpoints) applies immediately; order-dependent
-  /// worker progress goes through the deferred_frames reorder buffer.
-  void handle_commit_digest(Context& ctx, const Message& msg);
+  /// A kTagCommitDigest from a shard rank: decode it, fence a dead
+  /// incarnation, and hand the digest to handle_commit_digest.
+  void receive_commit_digest(Context& ctx, const Message& msg);
+  /// One CommitDigest — from a shard or from the colocated assembler — the
+  /// scheduler's only view of a worker's result and its only commit
+  /// accounting. Order-independent accounting (commit totals, area
+  /// bookkeeping, shot completion) applies immediately; order-dependent
+  /// worker progress goes through advance_worker; the checkpoint comes last.
+  void handle_commit_digest(Context& ctx, const CommitDigest& d);
+  /// Advance the sender's progress chain on one digest (or write its task
+  /// off on a chain reject or gap). True when the chain reached the end of
+  /// the task.
+  bool advance_worker(Context& ctx, const CommitDigest& d);
   /// Digest chain for `worker` advanced to the end of its task (or the task
   /// was written off): run the parked idle transition, if any.
   void release_pending_request(Context& ctx, int worker);
@@ -319,9 +337,8 @@ class RenderMaster final : public Actor {
   /// The /status document: per-worker lease/task state, queue depth, shard
   /// completion counts, stragglers, recent throughput.
   std::string render_status_json(Context& ctx) const;
-  /// Fresh-commit telemetry shared by the single-master and digest paths:
-  /// close the frame's flow chain, feed the straggler detector, bump the
-  /// live counters.
+  /// Fresh-commit telemetry: close the frame's flow chain, feed the
+  /// straggler detector, bump the live counters.
   void note_commit(Context& ctx, int worker, std::int32_t task_id,
                    std::uint64_t trace_ctx, std::int32_t frame,
                    double render_seconds);
@@ -347,8 +364,9 @@ class RenderMaster final : public Actor {
   /// now on, and the frames not yet delivered are re-enqueued as a fresh
   /// task (whose first frame will be a full coherence-restart render).
   void cancel_and_reclaim(Context& ctx, int worker);
+  /// cancel_and_reclaim, then shrink the worker back to what it delivered.
+  void write_off(Context& ctx, int worker);
   void declare_dead(Context& ctx, int worker);
-  void discard_result(const FrameResult& result, bool wasted_work);
 
   // -- multi-tenant service ----------------------------------------------
   /// Weighted-fair admission state for one tenant (stride scheduling: each
@@ -434,7 +452,6 @@ class RenderMaster final : public Actor {
   /// shard liveness is off.
   std::vector<ShardState> shard_states_;
 
-  std::vector<Framebuffer> frames_;
   std::vector<std::int64_t> frame_area_missing_;
   std::int64_t area_frames_missing_ = 0;
   std::int32_t next_task_id_ = 0;
@@ -443,27 +460,25 @@ class RenderMaster final : public Actor {
   std::set<std::int32_t> cancelled_tasks_;   // results discarded
   std::set<std::int32_t> reassigned_tasks_;  // recovery tasks (restart cost)
 
-  /// Idempotent-commit gate: per frame, the packed rects already applied.
-  /// A duplicate (rect, frame) commit — a speculation loser, an overlap
-  /// from reclaim — is skipped entirely (no pixel write, no accounting, no
-  /// journal record).
+  /// Digest-fed mirror of the owners' idempotent-commit gates: per frame,
+  /// the packed rects already committed. Scheduling only (dispatch skips
+  /// fully-committed tasks, shard rollback re-covers lost cells); the
+  /// owners' own gates decide what is applied.
   std::vector<std::set<std::uint64_t>> committed_rects_;
   /// Speculated task pairs, keyed both ways (task_id → partner task_id).
   std::map<std::int32_t, std::int32_t> spec_partner_;
   /// Every task id that was ever half of a pair: duplicate commits from
   /// these are speculation waste, not protocol anomalies.
   std::set<std::int32_t> spec_tasks_;
-  /// Durable IO (journal appends + TGA writes), shared with the shard path.
-  /// In sharded mode the sink carries the scheduler's checkpoint-only
-  /// journal and never sees pixels.
+  /// Durable IO (journal appends + TGA writes). At shards == 1 the
+  /// colocated assembler writes through it too; in sharded mode it carries
+  /// the scheduler's checkpoint-only journal and never sees pixels.
   std::unique_ptr<FrameSink> sink_;
-  /// Sharded mode: fresh commits since the last checkpoint record (the
-  /// scheduler journal has no region commits to count).
+  /// The colocated frame owner at shards == 1; null when sharded.
+  std::unique_ptr<FrameAssembler> assembler_;
+  /// Fresh commits since the last checkpoint record.
   std::int64_t digests_since_checkpoint_ = 0;
-  Counter* decode_failures_ = nullptr;  // null when metrics are off
-  Counter* ep_frame_bytes_ = nullptr;       // endpoint.0.frame_bytes
   Counter* ep_digest_bytes_ = nullptr;      // endpoint.0.digest_bytes
-  Counter* ep_decode_failures_ = nullptr;   // endpoint.0.frame_decode_failures
   // Live scheduler instruments, registered whenever metrics are on (never
   // gated on the telemetry plane, so sim metrics JSON is identical with the
   // plane enabled or disabled). Updated deterministically from commits.

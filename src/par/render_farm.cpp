@@ -583,20 +583,19 @@ FarmResult render_farm(const AnimatedScene& scene, const FarmConfig& config) {
     }
   }
   result.elapsed_seconds = result.runtime.elapsed_seconds;
-  if (sharded) {
-    // The thin scheduler holds no pixels: stitch the animation back
-    // together from the shards' owned ranges.
-    result.frames.assign(static_cast<std::size_t>(scene.frame_count()),
-                         Framebuffer(scene.width(), scene.height()));
-    for (auto& s : shards) {
-      for (int f = 0; f < s->owned_frames(); ++f) {
-        result.frames[static_cast<std::size_t>(s->first_frame() + f)] =
-            s->frames()[static_cast<std::size_t>(f)];
-      }
-      result.shards.push_back(s->report());
-    }
-  } else {
-    result.frames = master.frames();
+  // Stitch the animation together from every frame owner's range: the
+  // master's colocated assembler at shards == 1, the shards otherwise.
+  std::vector<const FrameAssembler*> owners;
+  if (master.assembler() != nullptr) owners.push_back(master.assembler());
+  for (auto& s : shards) {
+    owners.push_back(&s->assembler());
+    result.shards.push_back(s->report());
+  }
+  for (const FrameAssembler* a : owners) {
+    const auto end = static_cast<std::size_t>(a->end_frame());
+    if (result.frames.size() < end) result.frames.resize(end);
+    std::copy(a->frames().begin(), a->frames().end(),
+              result.frames.begin() + a->first_frame());
   }
   result.master = master.report();
   for (auto& w : workers) result.workers.push_back(w->report());

@@ -1,9 +1,9 @@
 // FrameSink: the one owner of durable frame IO — journal appends and
-// atomic TGA writes — shared by the single-master path, the thin scheduler
-// (checkpoint-only journal), and each framebuffer shard.
+// atomic TGA writes. Every FrameAssembler writes through one (at shards == 1
+// the master's, shared with its checkpoints; otherwise its shard's own
+// segment), and a sharded scheduler keeps a checkpoint-only one.
 //
-// Before the shard subsystem this logic lived inline in RenderMaster;
-// extracting it keeps the crash-consistency contract in exactly one place:
+// Keeping the IO here holds the crash-consistency contract in one place:
 // a region commit appends a CRC-framed record whose digest runs over the
 // *decoded* pixels (journals are codec-invariant), and a frame completion
 // renames the TGA into place *before* appending the record that declares it
@@ -68,9 +68,6 @@ class FrameSink {
   void checkpoint(const CheckpointRecord& rec);
 
   bool journaling() const { return journal_ != nullptr; }
-  std::int64_t commits_since_checkpoint() const {
-    return journal_ != nullptr ? journal_->commits_since_checkpoint() : 0;
-  }
 
   // Journal statistics for the owning actor's report.
   std::int64_t journal_records() const {

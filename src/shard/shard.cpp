@@ -6,97 +6,108 @@
 
 namespace now {
 
+namespace {
+
+/// Open the FrameSink on the shard's journal segment: `resume` appends after
+/// `valid_bytes` (0 starts a fresh segment), false truncates and starts
+/// over. Shared by the constructor and failover rebuild.
+std::unique_ptr<FrameSink> open_sink(const ShardConfig& config, bool resume,
+                                     std::size_t valid_bytes) {
+  FrameSinkConfig sink;
+  sink.output_dir = config.output_dir;
+  sink.output_prefix = config.output_prefix;
+  sink.journal_path = config.journal_path;
+  sink.journal_fsync = config.journal_fsync;
+  sink.header.width = config.width;
+  sink.header.height = config.height;
+  sink.header.frame_count = config.map.frame_count;
+  sink.header.shard_count = config.map.shard_count;
+  sink.header.shard_index = config.shard_index;
+  sink.resume = resume;
+  sink.resume_valid_bytes = valid_bytes;
+  sink.metrics = config.metrics;
+  sink.endpoint_rank = config.map.rank_of_shard(config.shard_index);
+  return std::make_unique<FrameSink>(sink);
+}
+
+std::size_t resume_valid_bytes(const ShardConfig& config) {
+  if (config.recovery == nullptr ||
+      config.shard_index >=
+          static_cast<int>(config.recovery->shard_valid_bytes.size())) {
+    return 0;
+  }
+  return config.recovery->shard_valid_bytes[config.shard_index];
+}
+
+}  // namespace
+
 // Everything — allocation, resume restore, segment open/truncate — happens
 // in the constructor, not on_start: a fully-restored resume lets the
 // scheduler stop the run during ITS on_start, before any other actor
 // starts, and the restored pixels and repaired segment must exist anyway.
-FrameShard::FrameShard(const ShardConfig& config) : config_(config) {
+FrameShard::FrameShard(const ShardConfig& config)
+    : config_(config),
+      sink_(open_sink(config, config.recovery != nullptr,
+                      resume_valid_bytes(config))),
+      assembler_(config.map.range_of(config.shard_index).first,
+                 config.map.range_of(config.shard_index).second, config.width,
+                 config.height, sink_.get(),
+                 config.map.rank_of_shard(config.shard_index), config.metrics) {
   if (config_.tracer != nullptr && !config_.tracer->enabled()) {
     config_.tracer = nullptr;
   }
-  const auto range = config_.map.range_of(config_.shard_index);
-  first_ = range.first;
-  end_ = range.second;
-
-  const int w = config_.width;
-  const int h = config_.height;
-  const int owned = end_ - first_;
-  const int rank = config_.map.rank_of_shard(config_.shard_index);
-  frames_.assign(static_cast<std::size_t>(owned), Framebuffer(w, h));
-  area_missing_.assign(static_cast<std::size_t>(owned), std::int64_t{w} * h);
-  committed_rects_.assign(static_cast<std::size_t>(owned), {});
-
-  if (config_.metrics != nullptr) {
-    const std::string prefix = "endpoint." + std::to_string(rank) + ".";
-    decode_failures_ =
-        &config_.metrics->counter("net.frame_decode_failures");
-    ep_decode_failures_ =
-        &config_.metrics->counter(prefix + "frame_decode_failures");
-    ep_frame_bytes_ = &config_.metrics->counter(prefix + "frame_bytes");
-  }
-
   // Resume: owned frames the previous run completed (segment record +
-  // verified targa) are restored wholesale, and their idempotent gates are
+  // verified targa) are restored wholesale, with their idempotent gates
   // re-armed from the replayed commit records so a duplicate commit (an
   // overlapping reclaim, a speculation loser from the dead run) can never
   // double-apply into a frame whose area is already zero.
-  std::size_t resume_valid_bytes = 0;
   if (config_.recovery != nullptr) {
-    const RecoveryState& rec = *config_.recovery;
-    for (int f = first_; f < end_; ++f) {
-      if (f < static_cast<int>(rec.frames.size()) &&
-          rec.frames[f].has_value()) {
-        const int local = f - first_;
-        frames_[local] = *rec.frames[f];
-        area_missing_[local] = 0;
-        if (f < static_cast<int>(rec.frame_commits.size())) {
-          for (const RegionCommitRecord& c : rec.frame_commits[f]) {
-            committed_rects_[local].insert(rect_key(c.rect));
-          }
-        }
-        ++report_.frames_restored;
-      }
-    }
-    if (config_.shard_index < static_cast<int>(rec.shard_valid_bytes.size())) {
-      resume_valid_bytes = rec.shard_valid_bytes[config_.shard_index];
-    }
+    assembler_.restore(config_.recovery->frames,
+                       config_.recovery->frame_commits);
   }
-
-  open_sink(config_.recovery != nullptr, resume_valid_bytes);
-  sync_journal_stats();
 }
 
-void FrameShard::open_sink(bool resume, std::size_t valid_bytes) {
-  FrameSinkConfig sink;
-  sink.output_dir = config_.output_dir;
-  sink.output_prefix = config_.output_prefix;
-  sink.journal_path = config_.journal_path;
-  sink.journal_fsync = config_.journal_fsync;
-  sink.header.width = config_.width;
-  sink.header.height = config_.height;
-  sink.header.frame_count = config_.map.frame_count;
-  sink.header.shard_count = config_.map.shard_count;
-  sink.header.shard_index = config_.shard_index;
-  sink.resume = resume;
-  sink.resume_valid_bytes = valid_bytes;
-  sink.metrics = config_.metrics;
-  sink.endpoint_rank = config_.map.rank_of_shard(config_.shard_index);
-  sink_ = std::make_unique<FrameSink>(sink);
+ShardReport FrameShard::report() const {
+  ShardReport r = assembler_.report();
+  r.journal_records = sink_->journal_records();
+  r.journal_bytes = sink_->journal_bytes();
+  r.journal_ok = sink_->journal_ok();
+  r.rebuilds = rebuilds_;
+  return r;
 }
 
 void FrameShard::on_start(Context& ctx) {
-  if (config_.tracer != nullptr && report_.frames_restored > 0) {
+  const std::int64_t restored = assembler_.report().frames_restored;
+  if (config_.tracer != nullptr && restored > 0) {
     config_.tracer->instant(ctx.rank(), "shard", "resume.restore", ctx.now(),
-                            {{"frames", report_.frames_restored}});
+                            {{"frames", restored}});
   }
 }
 
 void FrameShard::on_message(Context& ctx, const Message& msg) {
   ctx.charge(config_.cost.master_per_message_seconds);
   switch (msg.tag) {
-    case kTagFrameResult:
-      handle_frame_result(ctx, msg);
+    case kTagFrameResult: {
+      const FrameAssembler::Commit c =
+          assembler_.commit(msg.source, msg.payload);
+      const CommitDigest& d = c.digest;
+      if (config_.tracer != nullptr && d.kind == CommitKind::kFresh) {
+        config_.tracer->instant(ctx.rank(), "shard", "frame.result", ctx.now(),
+                                {{"worker", msg.source},
+                                 {"frame", d.frame},
+                                 {"full", d.full_render ? 1 : 0}});
+        if (d.trace_ctx != 0) {
+          config_.tracer->flow_step(
+              ctx.rank(), trace_flow_id(d.trace_ctx, d.frame), ctx.now(),
+              {{"task", d.task_id}, {"frame", d.frame}, {"step", 3}});
+        }
+      }
+      if (c.frame_completed) {
+        ctx.charge(config_.cost.master_frame_write_seconds);
+      }
+      ctx.send(0, kTagCommitDigest, encode_commit_digest(d));
       break;
+    }
     case kTagPing:
       // Liveness probe from the scheduler's shard lease: any answer renews
       // the lease (the pong itself is the heartbeat).
@@ -122,39 +133,21 @@ void FrameShard::handle_rebuild(Context& ctx) {
   // back verified from disk with their gates re-armed; partially-committed
   // frames are lost and revert to full area — the scheduler performs the
   // matching rollback on its digest mirror and re-covers those cells.
-  const int w = config_.width;
-  const int h = config_.height;
-  const int owned = end_ - first_;
-  frames_.assign(static_cast<std::size_t>(owned), Framebuffer(w, h));
-  area_missing_.assign(static_cast<std::size_t>(owned), std::int64_t{w} * h);
-  committed_rects_.assign(static_cast<std::size_t>(owned), {});
-  chains_.clear();
-  sink_.reset();  // release the dead incarnation's journal fd before reopening
-
+  sink_.reset();  // release the dead incarnation's journal fd before reading
   std::size_t valid_bytes = 0;
-  int restored = 0;
+  ShardRebuild rb;
   if (!config_.journal_path.empty()) {
-    const ShardRebuild rb = rebuild_shard_segment(
-        config_.journal_path, config_.output_dir, config_.output_prefix, w, h,
-        config_.map.frame_count, config_.map.shard_count, config_.shard_index);
-    if (rb.ok) {
-      valid_bytes = rb.valid_bytes;
-      for (int f = first_; f < end_; ++f) {
-        if (!rb.frames[f].has_value()) continue;
-        const int local = f - first_;
-        frames_[local] = *rb.frames[f];
-        area_missing_[local] = 0;
-        for (const RegionCommitRecord& c : rb.frame_commits[f]) {
-          committed_rects_[local].insert(rect_key(c.rect));
-        }
-        ++restored;
-      }
-    }
+    rb = rebuild_shard_segment(config_.journal_path, config_.output_dir,
+                               config_.output_prefix, config_.width,
+                               config_.height, config_.map.frame_count,
+                               config_.map.shard_count, config_.shard_index);
+    if (rb.ok) valid_bytes = rb.valid_bytes;
   }
-  open_sink(/*resume=*/true, valid_bytes);
-  ++report_.rebuilds;
-  report_.frames_restored += restored;
-  sync_journal_stats();
+  sink_ = open_sink(config_, /*resume=*/true, valid_bytes);
+  assembler_.reset(sink_.get());
+  const int restored =
+      rb.ok ? assembler_.restore(rb.frames, rb.frame_commits) : 0;
+  ++rebuilds_;
 
   if (config_.tracer != nullptr) {
     config_.tracer->instant(ctx.rank(), "shard", "shard.rebuild", ctx.now(),
@@ -163,162 +156,6 @@ void FrameShard::handle_rebuild(Context& ctx) {
   // Re-admission: the scheduler treats a Hello from a shard rank as "this
   // shard is (back) alive with exactly its durable state".
   ctx.send(0, kTagHello, {});
-}
-
-void FrameShard::send_digest(Context& ctx, const CommitDigest& d) {
-  ctx.send(0, kTagCommitDigest, encode_commit_digest(d));
-}
-
-void FrameShard::sync_journal_stats() {
-  report_.journal_records = sink_->journal_records();
-  report_.journal_bytes = sink_->journal_bytes();
-  report_.journal_ok = sink_->journal_ok();
-}
-
-void FrameShard::handle_frame_result(Context& ctx, const Message& msg) {
-  report_.frame_bytes += static_cast<std::int64_t>(msg.payload.size());
-  if (ep_frame_bytes_ != nullptr) {
-    ep_frame_bytes_->inc(static_cast<std::int64_t>(msg.payload.size()));
-  }
-
-  CommitDigest d;
-  d.worker = msg.source;
-
-  FrameResult result;
-  if (!decode_frame_result(&result, msg.payload)) {
-    // Envelope failed CRC/structure validation. The scheduler cannot tie
-    // this to a task (nothing decoded), so the digest only reports the
-    // sender; the worker's next valid result or its lease surfaces the gap.
-    ++report_.decode_failures;
-    if (decode_failures_ != nullptr) decode_failures_->inc();
-    if (ep_decode_failures_ != nullptr) ep_decode_failures_->inc();
-    d.kind = CommitKind::kDecodeFail;
-    send_digest(ctx, d);
-    return;
-  }
-  ++report_.frame_results;
-  d.task_id = result.task_id;
-  d.frame = result.frame;
-  d.trace_ctx = result.trace_ctx;
-  d.rect = result.payload.rect;
-  d.full_render = result.full_render;
-  d.rays = result.rays;
-  d.shadow_rays = result.shadow_rays;
-  d.pixels_recomputed = result.pixels_recomputed;
-  d.compute_seconds = result.compute_seconds;
-  d.render_seconds = result.render_seconds;
-
-  const int frame = result.frame;
-  assert(frame >= first_ && frame < end_ &&
-         "worker routed a frame to the wrong shard");
-  const PixelRect& region = result.payload.rect;
-
-  // Per-task chain validation, the shard's slice of the master's per-worker
-  // gap detection. The shard never sees assignments, so the chain starts at
-  // the first result for a task id: it must be dense (workers promote to a
-  // key frame at every ownership boundary and at a task's first frame), and
-  // each later result must carry exactly the next owned frame. A gap or a
-  // sparse result without an owned, committed predecessor poisons the chain:
-  // everything after it is rejected and the scheduler reclaims the range.
-  Chain& chain = chains_[result.task_id];
-  if (chain.broken) {
-    d.kind = CommitKind::kChainReject;
-    ++report_.chain_rejects;
-    send_digest(ctx, d);
-    return;
-  }
-  if (!chain.started) {
-    if (!result.payload.dense) {
-      // First result of this task at this shard references a predecessor we
-      // do not hold. Corruption or mis-promotion; reject and poison.
-      ++report_.decode_failures;
-      if (decode_failures_ != nullptr) decode_failures_->inc();
-      if (ep_decode_failures_ != nullptr) ep_decode_failures_->inc();
-      chain.broken = true;
-      d.kind = CommitKind::kChainReject;
-      ++report_.chain_rejects;
-      send_digest(ctx, d);
-      return;
-    }
-    chain.started = true;
-    chain.next = frame;
-  }
-  if (frame < chain.next) {
-    // Duplicated delivery behind the chain: already applied, just ack.
-    d.kind = CommitKind::kStale;
-    ++report_.stale_results;
-    send_digest(ctx, d);
-    return;
-  }
-  if (frame > chain.next) {
-    // A result vanished in transit; the sparse chain is broken from the gap
-    // onward. The scheduler turns this into cancel-and-reclaim.
-    chain.broken = true;
-    d.kind = CommitKind::kChainReject;
-    ++report_.chain_rejects;
-    send_digest(ctx, d);
-    return;
-  }
-  if (!result.payload.dense && frame == first_) {
-    // A sparse result whose predecessor is outside the owned range can only
-    // be corruption that slipped past the CRC (workers always promote at
-    // the boundary). Reject like a decode failure.
-    ++report_.decode_failures;
-    if (decode_failures_ != nullptr) decode_failures_->inc();
-    if (ep_decode_failures_ != nullptr) ep_decode_failures_->inc();
-    chain.broken = true;
-    d.kind = CommitKind::kChainReject;
-    ++report_.chain_rejects;
-    send_digest(ctx, d);
-    return;
-  }
-
-  // Idempotent-commit gate, same as the single master: a (region, frame)
-  // already committed — by a speculation partner or an overlapping reclaim —
-  // advances the chain but is applied nowhere. Both copies render identical
-  // pixels (the coherence guarantee), so skipping the apply keeps this
-  // sender's later sparse results valid against frames_[frame - 1].
-  const int local = frame - first_;
-  const bool fresh = committed_rects_[local].insert(rect_key(region)).second;
-  chain.next = frame + 1;
-  if (!fresh) {
-    d.kind = CommitKind::kDuplicate;
-    ++report_.duplicates;
-    send_digest(ctx, d);
-    return;
-  }
-
-  if (!result.payload.dense) {
-    assert(local > 0);
-    frames_[local].blit(region, frames_[local - 1].extract(region));
-  }
-  apply_payload(&frames_[local], result.payload);
-  sink_->commit_region(result.task_id, region, frame, frames_[local]);
-  ++report_.frames_committed;
-
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(ctx.rank(), "shard", "frame.result", ctx.now(),
-                            {{"worker", msg.source},
-                             {"frame", frame},
-                             {"full", result.full_render ? 1 : 0}});
-    if (result.trace_ctx != 0) {
-      config_.tracer->flow_step(
-          ctx.rank(), trace_flow_id(result.trace_ctx, frame), ctx.now(),
-          {{"task", result.task_id}, {"frame", frame}, {"step", 3}});
-    }
-  }
-
-  area_missing_[local] -= region.area();
-  assert(area_missing_[local] >= 0);
-  if (area_missing_[local] == 0) {
-    ++report_.frames_completed;
-    ctx.charge(config_.cost.master_frame_write_seconds);
-    sink_->complete_frame(frame, frames_[local]);
-  }
-  sync_journal_stats();
-
-  d.kind = CommitKind::kFresh;
-  send_digest(ctx, d);
 }
 
 }  // namespace now

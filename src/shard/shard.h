@@ -1,36 +1,27 @@
 // FrameShard: one framebuffer/IO shard of the sharded master (rank
 // worker_count+1+shard_index). It owns a contiguous frame range of the
 // animation: workers send their (delta-coded) frame results straight here,
-// the shard decodes them against its own committed predecessor state,
-// verifies the idempotent-commit gate, journals each commit to its own
-// crash-consistent segment, writes its own TGAs, and answers every result
-// with a CommitDigest to the scheduler (rank 0).
+// and the shard answers every result with a CommitDigest to the scheduler
+// (rank 0).
 //
-// Frame assembly is the single-master algorithm verbatim, restricted to the
-// owned range, so a sharded run's frames are byte-identical to the
-// single-master run's. The one structural difference is chain validation:
-// the shard sees only a slice of each worker's result stream, so it tracks
-// a per-task chain (first result must be dense; sparse results must arrive
-// in frame order with an owned predecessor) and rejects anything that would
-// decode against pixels it does not have — the scheduler turns a reject
-// digest into the same cancel-and-reclaim a single master performs on a
-// stream gap.
+// The shard is a thin actor around a FrameAssembler — the same commit core
+// the master colocates in-process at shards == 1 — so a sharded run's frames
+// are byte-identical to an unsharded run's by construction. The actor adds
+// what only a separate rank needs: it charges the commit cost, puts each
+// digest on the wire, answers liveness pings, and rebuilds itself from its
+// own crash-consistent journal segment after a failure.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "src/ckpt/recovery.h"
-#include "src/image/framebuffer.h"
 #include "src/net/runtime.h"
 #include "src/obs/event_trace.h"
 #include "src/obs/metrics.h"
 #include "src/par/cost_model.h"
-#include "src/shard/digest.h"
+#include "src/shard/assembler.h"
 #include "src/shard/frame_sink.h"
 #include "src/shard/ownership.h"
 
@@ -56,24 +47,6 @@ struct ShardConfig {
   MetricsRegistry* metrics = nullptr;
 };
 
-struct ShardReport {
-  std::int64_t frame_results = 0;     // decoded results received
-  std::int64_t frames_committed = 0;  // fresh region-frame commits
-  std::int64_t frames_completed = 0;  // owned frames fully assembled
-  std::int64_t frames_restored = 0;   // owned frames loaded on resume
-  std::int64_t duplicates = 0;        // commit-gate hits (chain advanced)
-  std::int64_t stale_results = 0;     // redeliveries behind the chain
-  std::int64_t chain_rejects = 0;     // results that broke their chain
-  std::int64_t decode_failures = 0;   // envelopes that failed to decode
-  std::int64_t frame_bytes = 0;       // wire payload bytes received
-  std::int64_t journal_records = 0;
-  std::int64_t journal_bytes = 0;
-  bool journal_ok = true;
-  /// Failover rebuilds: the shard rank died (or was fenced by the
-  /// scheduler), replayed its journal segment, and re-announced itself.
-  std::int64_t rebuilds = 0;
-};
-
 class FrameShard final : public Actor {
  public:
   explicit FrameShard(const ShardConfig& config);
@@ -81,52 +54,23 @@ class FrameShard final : public Actor {
   void on_start(Context& ctx) override;
   void on_message(Context& ctx, const Message& msg) override;
 
-  /// Owned frames, indexed by global frame number minus first_frame().
-  /// Valid after the runtime finishes.
-  const std::vector<Framebuffer>& frames() const { return frames_; }
-  int first_frame() const { return first_; }
-  int owned_frames() const { return static_cast<int>(frames_.size()); }
-  const ShardReport& report() const { return report_; }
+  /// The owned frames and commit counters (valid after the runtime
+  /// finishes).
+  const FrameAssembler& assembler() const { return assembler_; }
+  ShardReport report() const;
 
  private:
-  /// Per-task slice of the worker's result chain as seen by this shard.
-  struct Chain {
-    std::int32_t next = -1;  // next frame a chain-valid result must carry
-    bool started = false;    // first (dense) result seen
-    bool broken = false;     // rejected once; everything later is rejected
-  };
-
-  void handle_frame_result(Context& ctx, const Message& msg);
   /// Failover restart (kTagRejoin from the runtime, or kTagShardReset from
   /// a scheduler that declared this incarnation dead): forget all in-memory
   /// state, rebuild committed frames + the idempotent gate from the journal
   /// segment, reopen the sink on the segment's valid prefix, and re-Hello
   /// the scheduler.
   void handle_rebuild(Context& ctx);
-  void send_digest(Context& ctx, const CommitDigest& d);
-  /// (Re)open the FrameSink on the journal segment: `resume` appends after
-  /// `valid_bytes` (0 starts a fresh segment), false truncates and starts
-  /// over. Shared by the constructor and failover rebuild.
-  void open_sink(bool resume, std::size_t valid_bytes);
-  void sync_journal_stats();
 
   ShardConfig config_;
-  int first_ = 0;
-  int end_ = 0;
-  std::vector<Framebuffer> frames_;
-  std::vector<std::int64_t> area_missing_;
-  /// Authoritative idempotent-commit gate for owned frames (the scheduler
-  /// keeps a digest-fed mirror for scheduling decisions only).
-  std::vector<std::set<std::uint64_t>> committed_rects_;
-  std::map<std::int32_t, Chain> chains_;
   std::unique_ptr<FrameSink> sink_;
-
-  // Per-endpoint instruments (null when metrics are off).
-  Counter* decode_failures_ = nullptr;     // global net.frame_decode_failures
-  Counter* ep_decode_failures_ = nullptr;  // endpoint.<rank>.frame_decode_...
-  Counter* ep_frame_bytes_ = nullptr;      // endpoint.<rank>.frame_bytes
-
-  ShardReport report_;
+  FrameAssembler assembler_;
+  std::int64_t rebuilds_ = 0;
 };
 
 }  // namespace now

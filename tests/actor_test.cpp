@@ -361,7 +361,8 @@ TEST_F(MasterProtocol, CompletesAndStops) {
   // Frames assembled correctly.
   const Framebuffer ref =
       render_world(scene_.world_at(3), 32, 24, CoherenceOptions{}.trace);
-  EXPECT_EQ(master->frames()[3], ref);
+  ASSERT_NE(master->assembler(), nullptr);
+  EXPECT_EQ(master->assembler()->frames()[3], ref);
 }
 
 TEST_F(MasterProtocol, AdaptiveSplitHandshake) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -65,6 +66,54 @@ FarmConfig journal_config(const std::string& dir) {
   config.journal_fsync = false;        // replay logic under test, not disks
   config.journal_checkpoint_every = 2; // force checkpoint records into play
   return config;
+}
+
+TEST(Resume, CheckpointsRecordProgressPastEveryCommit) {
+  // Each checkpoint is written after the committing worker's progress
+  // update, so no in-flight view lags its own task's journaled commits: a
+  // scheduler resumed from the checkpoint never re-renders a region-frame
+  // the journal already holds.
+  const AnimatedScene scene = orbit_scene(3, 8, 40, 30);
+  const std::string dir = unique_dir("ckpt_order");
+  FarmConfig config = journal_config(dir);
+  config.journal_checkpoint_every = 1;
+  const FarmResult result = render_farm(scene, config);
+  ASSERT_EQ(result.master.frames_completed, scene.frame_count());
+
+  const std::string bytes = read_file(config.journal_path);
+  const JournalReplay full = replay_journal(config.journal_path);
+  ASSERT_TRUE(full.ok) << full.error;
+  // Records are framed as u32 magic, u8 type, u32 length, payload, u32 crc;
+  // record i + 1 starts where record i ends.
+  int checkpoints = 0;
+  int views_checked = 0;
+  std::size_t start = 0;
+  for (const std::size_t end : full.record_offsets) {
+    const auto type = static_cast<JournalRecordType>(bytes[start + 4]);
+    if (type == JournalRecordType::kCheckpoint) {
+      // Replay exactly the prefix that ends with this checkpoint.
+      const std::string prefix_path = dir + "/prefix.journal";
+      write_file(prefix_path, bytes.substr(0, end));
+      const JournalReplay prefix = replay_journal(prefix_path);
+      ASSERT_TRUE(prefix.ok && prefix.last_checkpoint.has_value());
+      ++checkpoints;
+      for (const CheckpointRecord::WorkerView& v :
+           prefix.last_checkpoint->in_flight) {
+        int latest = -1;
+        for (const RegionCommitRecord& c : prefix.commits) {
+          if (c.task_id == v.task_id) latest = std::max(latest, c.frame);
+        }
+        if (latest < 0) continue;
+        ++views_checked;
+        EXPECT_GT(v.next_expected, latest)
+            << "checkpoint " << checkpoints << " worker " << v.worker
+            << " task " << v.task_id;
+      }
+    }
+    start = end;
+  }
+  EXPECT_GT(checkpoints, 0);
+  EXPECT_GT(views_checked, 0);
 }
 
 TEST(Resume, FreshRunWritesAVerifiableJournal) {

@@ -156,6 +156,10 @@ struct ErrorCase {
   const char* expect_substring;
 };
 
+// Without this, gtest prints the struct's raw bytes — pointer values that
+// ASLR changes on every run — into each discovered test name.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.label; }
+
 class SceneParserErrors : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(SceneParserErrors, ReportsLineAndReason) {

@@ -3,10 +3,15 @@
 // standing gates — sim determinism and per-shot byte-identity against a
 // serial reference render.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
+#include "src/ckpt/recovery.h"
+#include "src/image/image_io.h"
 #include "src/par/jobqueue.h"
 #include "src/par/render_farm.h"
 #include "src/par/serial.h"
@@ -214,6 +219,17 @@ const TenantSummary& tenant_named(const FarmResult& result,
   return kEmpty;
 }
 
+std::string unique_dir(const std::string& stem) {
+  static int counter = 0;
+  std::string dir = ::testing::TempDir();
+  if (!dir.empty() && dir.back() == '/') dir.pop_back();
+  dir += "/" + stem + "_" +
+         std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+         "_" + std::to_string(counter++);
+  ::mkdir(dir.c_str(), 0755);
+  return dir;
+}
+
 int tenant_index(const FarmResult& result, const std::string& name) {
   for (int t = 0; t < static_cast<int>(result.tenants.size()); ++t) {
     if (result.tenants[t].name == name) return t;
@@ -244,6 +260,52 @@ TEST(Service, SingleShotMatchesReference) {
   // The submitting client hears the terminal phase without polling.
   ASSERT_FALSE(result.clients[0].updates.empty());
   EXPECT_EQ(result.clients[0].updates.back().phase, ShotPhase::kDone);
+}
+
+TEST(Service, WritesEachShotsFramesUnderItsOwnNames) {
+  // With output_dir set, each shot's frames land as
+  // <prefix>-<tenant>-shot<id>[-<label>]_<scene-local frame>.tga — never
+  // under the classic global-frame names — and each file holds exactly the
+  // shot's in-memory frame.
+  const AnimatedScene scene = orbit_scene(3, 8, 48, 36);
+  const std::string dir = unique_dir("service_tga");
+  FarmConfig config = service_config(2);
+  config.output_dir = dir;
+  config.output_prefix = "svc";
+  ClientScript first, second;
+  first.actions.push_back(submit_at(0.0, "acme", 2.0, 0, 1, 3));
+  second.actions.push_back(submit_at(0.0, "indie", 1.0, 0, 4, 2, 0, "take2"));
+  config.service.clients.push_back(first);
+  config.service.clients.push_back(second);
+
+  const FarmResult result = render_farm(scene, config);
+  ASSERT_EQ(result.shots.size(), 2u);
+  int files = 0;
+  for (const FarmResult::ShotResult& shot : result.shots) {
+    const ShotSummary& s = shot.summary;
+    ASSERT_EQ(s.phase, ShotPhase::kDone) << s.tenant;
+    ASSERT_EQ(static_cast<int>(shot.frames.size()), s.frame_count);
+    std::string stem = dir + "/svc-" + s.tenant + "-shot" +
+                       std::to_string(s.shot_id);
+    if (!s.label.empty()) stem += "-" + s.label;
+    for (int f = 0; f < s.frame_count; ++f) {
+      char suffix[32];
+      std::snprintf(suffix, sizeof(suffix), "_%04d.tga",
+                    s.scene_first_frame + f);
+      const std::string path = stem + suffix;
+      Framebuffer disk;
+      ASSERT_TRUE(read_tga(&disk, path)) << path;
+      EXPECT_EQ(disk, shot.frames[static_cast<std::size_t>(f)]) << path;
+      ++files;
+    }
+  }
+  EXPECT_EQ(files, 5);
+  Framebuffer unused;
+  for (int f = 0; f < 5; ++f) {
+    EXPECT_FALSE(read_tga(&unused, frame_file_path(dir, "svc", f)));
+  }
+  expect_shot_matches(result.shots[0], scene, config.coherence.trace, "acme");
+  expect_shot_matches(result.shots[1], scene, config.coherence.trace, "indie");
 }
 
 TEST(Service, TwoTenantsWeighted2to1) {

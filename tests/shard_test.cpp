@@ -1,5 +1,6 @@
 // The sharded framebuffer subsystem, end to end: the ownership map's
-// arithmetic, the digest wire record, and the standing gate of the whole
+// arithmetic, the digest wire record, the FrameAssembler commit core, and
+// the standing gate of the whole
 // design — a --shards N run produces byte-identical frames to the classic
 // single-master run on every backend, including under worker crashes,
 // rejoins, speculation, and crash-consistent resume from every shard
@@ -18,6 +19,8 @@
 #include "src/ckpt/journal.h"
 #include "src/ckpt/recovery.h"
 #include "src/image/image_io.h"
+#include "src/image/pixel_codec.h"
+#include "src/par/protocol.h"
 #include "src/par/render_farm.h"
 #include "src/par/serial.h"
 #include "src/scene/builtin_scenes.h"
@@ -181,6 +184,83 @@ TEST(CommitDigest, RejectsTruncatedAndGarbagePayloads) {
   EXPECT_FALSE(decode_commit_digest(&out, encode_commit_digest(probe)));
 }
 
+// -- FrameAssembler: the one commit path ------------------------------------
+
+std::string encoded_result(std::int32_t task, std::int32_t frame,
+                           const PixelRect& rect, bool dense, Rgb8 color) {
+  FrameResult r;
+  r.task_id = task;
+  r.frame = frame;
+  if (dense) {
+    r.payload = make_dense_payload(Framebuffer(8, 4, color), rect);
+  } else {
+    r.payload.rect = rect;  // sparse, nothing recomputed
+    r.payload.dense = false;
+  }
+  return encode_frame_result(r);
+}
+
+TEST(FrameAssembler, ChainsGateAndCompletesOwnedFrames) {
+  // Owns frames [2, 5) of an 8x4 animation tiled by two 4x4 regions.
+  MetricsRegistry metrics;
+  FrameSink sink(FrameSinkConfig{});
+  FrameAssembler a(2, 5, 8, 4, &sink, 7, &metrics);
+  const PixelRect left{0, 0, 4, 4};
+  const PixelRect right{4, 0, 4, 4};
+  const Rgb8 red{200, 0, 0};
+  const Rgb8 blue{0, 0, 200};
+  const auto kind = [&](std::int32_t task, std::int32_t frame,
+                        const PixelRect& rect, bool dense, Rgb8 color) {
+    return a.commit(1, encoded_result(task, frame, rect, dense, color))
+        .digest.kind;
+  };
+
+  EXPECT_EQ(kind(1, 2, left, true, red), CommitKind::kFresh);
+  EXPECT_EQ(kind(1, 2, left, true, red), CommitKind::kStale);
+  // Sparse, nothing recomputed: the region carries over from frame 2.
+  EXPECT_EQ(kind(1, 3, left, false, blue), CommitKind::kFresh);
+  // A second copy of the same region-frame (speculation) hits the gate.
+  EXPECT_EQ(kind(2, 3, left, true, blue), CommitKind::kDuplicate);
+  const FrameAssembler::Commit done =
+      a.commit(1, encoded_result(3, 2, right, true, blue));
+  EXPECT_EQ(done.digest.kind, CommitKind::kFresh);
+  EXPECT_TRUE(done.frame_completed);
+  EXPECT_EQ(a.frames()[0].at(0, 0), red);
+  EXPECT_EQ(a.frames()[0].at(7, 3), blue);
+  EXPECT_EQ(a.frames()[1].at(0, 0), red);
+
+  // A gap breaks the chain for good.
+  EXPECT_EQ(kind(3, 4, right, true, blue), CommitKind::kChainReject);
+  EXPECT_EQ(kind(3, 3, right, true, blue), CommitKind::kChainReject);
+  // A lost key frame is a gap too; only a sparse first result at the first
+  // owned frame is also corruption.
+  EXPECT_EQ(kind(4, 3, right, false, blue), CommitKind::kChainReject);
+  EXPECT_EQ(a.report().decode_failures, 0);
+  EXPECT_EQ(kind(5, 2, right, false, blue), CommitKind::kChainReject);
+  EXPECT_EQ(a.report().decode_failures, 1);
+  // Frames outside the owned range and garbage never touch the buffers.
+  EXPECT_EQ(kind(6, 5, right, true, blue), CommitKind::kDecodeFail);
+  EXPECT_EQ(a.commit(1, "junk").digest.kind, CommitKind::kDecodeFail);
+  // A task the owner wrote off applies nothing more.
+  a.reject_task(7);
+  EXPECT_EQ(kind(7, 3, right, true, blue), CommitKind::kChainReject);
+  EXPECT_EQ(kind(8, 3, right, true, blue), CommitKind::kFresh);
+
+  const ShardReport& r = a.report();
+  EXPECT_EQ(r.frame_results, 11);
+  EXPECT_EQ(r.frames_committed, 4);
+  EXPECT_EQ(r.frames_completed, 2);
+  EXPECT_EQ(r.duplicates, 1);
+  EXPECT_EQ(r.stale_results, 1);
+  EXPECT_EQ(r.chain_rejects, 5);
+  EXPECT_EQ(r.decode_failures, 3);
+  const MetricsSnapshot m = metrics.snapshot();
+  EXPECT_EQ(m.counter("endpoint.7.frame_decode_failures"), 3u);
+  EXPECT_EQ(m.counter("net.frame_decode_failures"), 3u);
+  EXPECT_EQ(m.counter("endpoint.7.frame_bytes"),
+            static_cast<std::uint64_t>(r.frame_bytes));
+}
+
 // -- End-to-end identity: the standing gate ---------------------------------
 
 FarmConfig shard_config(FarmBackend backend, int shards) {
@@ -317,6 +397,34 @@ TEST(ShardFault, DroppedResultIsReclaimedPixelExact) {
   EXPECT_EQ(result.master.frames_completed, scene.frame_count());
   const auto ref = reference_frames(scene, config.coherence.trace);
   expect_frames_equal(result.frames, ref, "shard-drop");
+}
+
+TEST(ShardFault, LostKeyFrameIsAGapNotADecodeFailure) {
+  // Dropping worker 1's first result loses its task's dense key frame, so
+  // the next result reaches its owner sparse with no chain started. That is
+  // a lost message, like any other gap: the task is reclaimed, and no owner
+  // — colocated at shards == 1 or a shard rank — counts a decode failure.
+  const AnimatedScene scene = orbit_scene(3, 12, 48, 36);
+  const auto ref = reference_frames(scene, FarmConfig().coherence.trace);
+  for (const int shards : {1, 2}) {
+    const std::string label = "shards=" + std::to_string(shards);
+    FarmConfig config = sim_shard_fault_config(shards);
+    config.fault_plan.events.push_back(
+        FaultPlan::drop_nth(1, 1, kTagFrameResult));
+    const FarmResult result = render_farm(scene, config);
+    expect_frames_equal(result.frames, ref, label);
+    EXPECT_EQ(result.faults.tasks_reassigned, 1) << label;
+    EXPECT_EQ(result.metrics.counter("net.frame_decode_failures"), 0u)
+        << label;
+    std::int64_t chain_rejects = 0;
+    for (const ShardReport& s : result.shards) {
+      EXPECT_EQ(s.decode_failures, 0) << label;
+      chain_rejects += s.chain_rejects;
+    }
+    if (shards > 1) {
+      EXPECT_GE(chain_rejects, 1) << label;
+    }
+  }
 }
 
 TEST(ShardFault, CrashedWorkerRejoinsAndStaysPixelExact) {

@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the hot inner loops: primitive
-// intersection, DDA grid traversal, coherence marking/collection, the
-// pixel codec and the wire format.
+// intersection, segment-box distance and the per-frame accelerator build,
+// DDA grid traversal, coherence marking/collection, the pixel codec and the
+// wire format.
 //
 // Shares the bench-suite flag contract: --metrics-out FILE maps onto
 // google-benchmark's JSON reporter, --quick trims the per-benchmark
@@ -13,6 +14,7 @@
 
 #include "src/core/coherence_grid.h"
 #include "src/geom/cylinder.h"
+#include "src/geom/overlap.h"
 #include "src/geom/sphere.h"
 #include "src/geom/voxel_grid.h"
 #include "src/image/pixel_codec.h"
@@ -80,6 +82,38 @@ void BM_GridWalk(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GridWalk)->Arg(8)->Arg(32)->Arg(128);
+
+void BM_SegmentBoxDistance(benchmark::State& state) {
+  Rng rng(8);
+  std::vector<Vec3> points;
+  std::vector<Aabb> boxes;
+  for (int i = 0; i < 256; ++i) {
+    points.push_back(rng.point_in_box({-2, -2, -2}, {2, 2, 2}));
+    const Vec3 lo = rng.point_in_box({-2, -2, -2}, {1, 1, 1});
+    boxes.push_back({lo, lo + rng.point_in_box({0.1, 0.1, 0.1}, {1, 1, 1})});
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(segment_box_distance(
+        points[i & 255], points[(i + 1) & 255], boxes[(i * 7) & 255]));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SegmentBoxDistance);
+
+// The per-frame accelerator rebuild over Newton frame 0's world: every
+// bounded primitive rasterized into the grid through overlaps_box.
+void BM_UniformGridBuild(benchmark::State& state) {
+  CradleParams params;
+  params.frames = 1;
+  const World world = newton_cradle_scene(params).world_at(0);
+  for (auto _ : state) {
+    const UniformGridAccelerator accel(world);
+    benchmark::DoNotOptimize(accel.total_cell_entries());
+  }
+}
+BENCHMARK(BM_UniformGridBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_AccelClosestHit(benchmark::State& state) {
   const AnimatedScene scene = orbit_scene(20, 1);

@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include <algorithm>
+#include <limits>
 
 #include "bench/bench_util.h"
 #include "src/par/cost_model.h"
@@ -105,8 +106,10 @@ int run(bool quick) {
   // -- live telemetry plane: on vs off on the Table-1 scene -----------------
   // The tentpole's standing constraint is that the sampler, the status
   // endpoint and the flight recorder stay observably cheap when armed. Run
-  // the paper's Newton farm on real threads both ways (min of two runs each
-  // to damp scheduler noise) and gate the delta.
+  // the paper's Newton farm on real threads both ways and gate the delta.
+  // Off and on runs alternate in ABBA order, so drift in machine load hits
+  // both sides alike, and each side keeps its fastest of five runs to damp
+  // scheduler noise on a farm that finishes in about a second.
   CradleParams farm_params;
   farm_params.frames = quick ? 12 : 45;
   farm_params.width = params.width;
@@ -124,16 +127,17 @@ int run(bool quick) {
   telemetry.obs.flight_recorder = true;
   telemetry.obs.flight_dir = "";  // ring only; no implicit flush
 
-  const auto farm_wall = [&](const FarmConfig& cfg) {
-    double best = 0.0;
-    for (int i = 0; i < 2; ++i) {
-      const FarmResult r = render_farm(farm_scene, cfg);
-      if (i == 0 || r.elapsed_seconds < best) best = r.elapsed_seconds;
-    }
-    return best;
-  };
-  const double wall_off = farm_wall(base);
-  const double wall_on = farm_wall(telemetry);
+  constexpr int kRunsPerSide = 5;
+  double wall_off = std::numeric_limits<double>::infinity();
+  double wall_on = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 2 * kRunsPerSide; ++i) {
+    // off, on, on, off, off, on, ...: neither side always runs first.
+    const bool on = (i % 4 == 1) || (i % 4 == 2);
+    const double wall =
+        render_farm(farm_scene, on ? telemetry : base).elapsed_seconds;
+    double& best = on ? wall_on : wall_off;
+    best = std::min(best, wall);
+  }
   const double telemetry_pct =
       wall_off > 0.0 ? 100.0 * (wall_on - wall_off) / wall_off : 0.0;
 

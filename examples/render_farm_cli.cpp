@@ -15,7 +15,9 @@
 //
 // Every numeric flag is parsed with a validating helper: junk, trailing
 // garbage, or out-of-range values print a message and exit 2 instead of
-// silently becoming 0.
+// silently becoming 0. A frame that cannot be written to --out DIR (missing
+// or unwritable directory) is an error: the run reports the count and exits
+// 1.
 //
 // Multi-tenant service: one or more --submit flags switch the farm into
 // service mode — each SPEC submits frames [FIRST, FIRST+COUNT) of the scene
@@ -55,7 +57,8 @@
 // Observability: --trace-out writes a Chrome trace-event JSON file (open it
 // in Perfetto / chrome://tracing; under --backend sim the file is
 // byte-identical across runs), --metrics-out writes the metrics snapshot as
-// JSON, and --report prints the per-worker busy/comm/idle utilization table.
+// JSON, and --report prints the per-worker busy/comm/idle utilization table
+// and the frame-write failure count.
 // The trace file is validated before writing; an invalid trace is a bug and
 // exits non-zero.
 //
@@ -547,12 +550,20 @@ int main(int argc, char** argv) {
                                 result.resume.frames_restored;
   const bool incomplete =
       !service && frames_done < scene.frame_count();
+  const bool write_failed = result.frame_write_failures > 0;
+  if (write_failed) {
+    std::fprintf(stderr,
+                 "error: %lld frame(s) could not be written to %s (does the "
+                 "directory exist and is it writable?)\n",
+                 static_cast<long long>(result.frame_write_failures),
+                 out_dir.c_str());
+  }
   if (incomplete && !kill_scheduler) {
     std::fprintf(stderr,
                  "INCOMPLETE: %lld of %d frame(s) finished — the farm "
                  "stopped before the render was done\n",
                  frames_done, scene.frame_count());
-  } else if (!incomplete && !service) {
+  } else if (!incomplete && !service && !write_failed) {
     std::printf("frames written to %s/farm_NNNN.tga\n", out_dir.c_str());
   }
   if (kill_scheduler) {
@@ -601,7 +612,10 @@ int main(int argc, char** argv) {
   }
   if (report) {
     std::printf("\n%s", result.utilization.to_text().c_str());
+    std::printf("frame write failures: %lld\n",
+                static_cast<long long>(result.frame_write_failures));
   }
+  if (write_failed) return 1;
   // A scheduler-kill drill is *supposed* to end partial (the restart is a
   // --resume rerun); every other incomplete render is a failure.
   if (service) return service_failed ? 1 : 0;

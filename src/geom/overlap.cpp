@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace now {
 
@@ -21,23 +22,53 @@ double point_box_distance_squared(const Vec3& p, const Aabb& box) {
 }
 
 double segment_box_distance(const Vec3& a, const Vec3& b, const Aabb& box) {
-  // distance(t) = dist(lerp(a,b,t), box) is convex in t, so ternary search
-  // converges to the global minimum.
-  double lo = 0.0;
-  double hi = 1.0;
-  for (int iter = 0; iter < 64; ++iter) {
-    const double m1 = lo + (hi - lo) / 3.0;
-    const double m2 = hi - (hi - lo) / 3.0;
-    const double d1 = point_box_distance_squared(lerp(a, b, m1), box);
-    const double d2 = point_box_distance_squared(lerp(a, b, m2), box);
-    if (d1 < d2) {
-      hi = m2;
-    } else {
-      lo = m1;
+  // f(t) = point_box_distance_squared(a + t (b - a), box) is a convex
+  // piecewise quadratic: it changes form only where the point crosses one of
+  // the six face planes. Those crossings cut [0, 1] into at most 7 pieces;
+  // on each, f is a single quadratic whose minimiser is found in closed form
+  // and clamped to the piece. The smallest piece minimum is the answer.
+  const Vec3 d = b - a;
+  double cuts[8];
+  int n = 0;
+  cuts[n++] = 0.0;
+  for (int axis = 0; axis < 3; ++axis) {
+    if (d[axis] == 0.0) continue;
+    for (const double face : {box.lo[axis], box.hi[axis]}) {
+      const double t = (face - a[axis]) / d[axis];
+      if (!(t > 0.0 && t < 1.0)) continue;
+      int j = n++;  // insertion keeps cuts sorted; cuts[0] == 0 < t stops it
+      for (; cuts[j - 1] > t; --j) cuts[j] = cuts[j - 1];
+      cuts[j] = t;
     }
   }
-  const double t = 0.5 * (lo + hi);
-  return std::sqrt(point_box_distance_squared(lerp(a, b, t), box));
+  cuts[n++] = 1.0;
+
+  double best = std::numeric_limits<double>::infinity();
+  for (int k = 0; k + 1 < n && best > 0.0; ++k) {
+    const double t0 = cuts[k];
+    const double t1 = cuts[k + 1];
+    // Which face each coordinate lies beyond is fixed inside the piece, so
+    // classify at its midpoint: f(t) = qa t^2 + 2 qb t + const there.
+    const double mid = 0.5 * (t0 + t1);
+    double qa = 0.0;
+    double qb = 0.0;
+    for (int axis = 0; axis < 3; ++axis) {
+      const double p = a[axis] + mid * d[axis];
+      double face;
+      if (p < box.lo[axis]) {
+        face = box.lo[axis];
+      } else if (p > box.hi[axis]) {
+        face = box.hi[axis];
+      } else {
+        continue;
+      }
+      qa += d[axis] * d[axis];
+      qb += d[axis] * (a[axis] - face);
+    }
+    const double t = qa > 0.0 ? std::clamp(-qb / qa, t0, t1) : t0;
+    best = std::min(best, point_box_distance_squared(lerp(a, b, t), box));
+  }
+  return std::sqrt(best);
 }
 
 bool plane_overlaps_box(const Vec3& normal, double d, const Aabb& box) {

@@ -11,8 +11,9 @@ namespace now {
 double point_box_distance_squared(const Vec3& p, const Aabb& box);
 
 /// Minimum distance between the segment [a, b] and `box` (0 on overlap).
-/// Exact to within the convergence of a ternary search on the convex
-/// distance-along-segment function (~1e-9 relative).
+/// Exact in closed form: the squared distance along the segment is a convex
+/// piecewise quadratic whose face-plane crossings cut it into at most 7
+/// pieces; each piece's quadratic is minimised analytically.
 double segment_box_distance(const Vec3& a, const Vec3& b, const Aabb& box);
 
 /// Exact plane-vs-box overlap: true when the plane n·x = d passes through

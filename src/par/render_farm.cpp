@@ -639,6 +639,8 @@ FarmResult render_farm(const AnimatedScene& scene, const FarmConfig& config) {
     status_server->stop();
   }
   result.metrics = registry.snapshot();
+  result.frame_write_failures = static_cast<std::int64_t>(
+      result.metrics.counter("frames.write_failures"));
   if (config.obs.trace) {
     result.trace_events = tracer.sorted_events();
     result.utilization = compute_utilization(

@@ -24,6 +24,7 @@ FrameSink::FrameSink(const FrameSinkConfig& config) : config_(config) {
         &config_.metrics->counter(prefix + "frames_committed");
     frames_completed_ =
         &config_.metrics->counter(prefix + "frames_completed");
+    write_failures_ = &config_.metrics->counter("frames.write_failures");
   }
 }
 
@@ -41,11 +42,16 @@ void FrameSink::commit_region(std::int32_t task_id, const PixelRect& rect,
 
 void FrameSink::complete_frame(std::int32_t frame, const Framebuffer& fb) {
   if (frames_completed_ != nullptr) frames_completed_->inc();
-  if (!config_.output_dir.empty()) {
-    write_tga_atomic(fb, config_.frame_path
-                             ? config_.frame_path(frame)
-                             : frame_file_path(config_.output_dir,
-                                               config_.output_prefix, frame));
+  if (!config_.output_dir.empty() &&
+      !write_tga_atomic(fb, config_.frame_path
+                                ? config_.frame_path(frame)
+                                : frame_file_path(config_.output_dir,
+                                                  config_.output_prefix,
+                                                  frame))) {
+    // The frame never reached disk, so the journal must not declare it
+    // durable: a resume re-renders it.
+    if (write_failures_ != nullptr) write_failures_->inc();
+    return;
   }
   if (journal_ != nullptr) {
     FrameCompleteRecord fc;

@@ -62,7 +62,8 @@ class FrameSink {
                      std::int32_t frame, const Framebuffer& fb);
 
   /// Frame fully assembled: atomically write its TGA (when output is
-  /// enabled), then append the frame-complete record — in that order.
+  /// enabled), then append the frame-complete record — in that order. A
+  /// failed write counts in frames.write_failures and appends no record.
   void complete_frame(std::int32_t frame, const Framebuffer& fb);
 
   void checkpoint(const CheckpointRecord& rec);
@@ -92,6 +93,7 @@ class FrameSink {
   std::unique_ptr<JournalWriter> journal_;
   Counter* frames_committed_ = nullptr;  // endpoint.<rank>.frames_committed
   Counter* frames_completed_ = nullptr;  // endpoint.<rank>.frames_completed
+  Counter* write_failures_ = nullptr;    // frames.write_failures
 };
 
 }  // namespace now

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
 
 namespace now {
 
@@ -26,8 +27,8 @@ RenderMaster::RenderMaster(const AnimatedScene& scene,
 }
 
 void RenderMaster::on_start(Context& ctx) {
-  // Service mode starts with an *empty* frame space: shots grow it at
-  // admission time, so there is nothing to partition or restore here.
+  // A service run starts with an *empty* frame space that admitted shots
+  // grow; a classic run is the one-shot case over the whole animation.
   const int frames = service_ ? 0 : scene_.frame_count();
   const int w = scene_.width();
   const int h = scene_.height();
@@ -39,11 +40,9 @@ void RenderMaster::on_start(Context& ctx) {
   // ShotClient actors instead, excluded the same way.
   const int worker_count =
       sharded ? config_.shards.worker_count
-              : ctx.world_size() - 1 -
-                    (service_ ? config_.service.client_count : 0);
+              : ctx.world_size() - 1 - config_.service.client_count;
   assert(worker_count >= 1);
   assert(!sharded || ctx.world_size() == config_.shards.world_size());
-  assert(!service_ || (!sharded && config_.recovery == nullptr));
   workers_.assign(static_cast<std::size_t>(worker_count) + 1, {});
   report_.frames_by_worker.assign(static_cast<std::size_t>(worker_count) + 1,
                                   0);
@@ -74,64 +73,23 @@ void RenderMaster::on_start(Context& ctx) {
                               {{"frames", report_.frames_restored}});
     }
   }
-  // Sequence-division tasks should not straddle camera cuts: a shot change
-  // forces a full re-render anyway, so cuts are free task boundaries
-  // ("any camera movement logically separates one sequence from another").
-  PartitionConfig partition = config_.partition;
-  if (partition.scheme == PartitionScheme::kSequenceDivision &&
-      partition.sequence_cuts.empty()) {
-    for (const AnimatedScene::Shot& shot : scene_.split_shots()) {
-      if (shot.first_frame > 0) {
-        partition.sequence_cuts.push_back(shot.first_frame);
-      }
-    }
-  }
-  std::int64_t covered = 0;
-  const auto enqueue = [&](std::vector<RenderTask> tasks, int frame_offset) {
-    for (RenderTask& task : tasks) {
-      task.task_id = next_task_id_++;
-      task.first_frame += frame_offset;
-      covered +=
-          static_cast<std::int64_t>(task.region.area()) * task.frame_count;
-      pending_.push_back(task);
-    }
-  };
-  if (service_) {
-    // Shots arrive over the job queue; each admission partitions its own
-    // frame range into the shot's private queue (handle_shot_submit).
-  } else if (config_.recovery != nullptr &&
-             config_.recovery->last_checkpoint.has_value()) {
-    // A scheduler checkpoint survived: resume the compacted task table
-    // instead of re-partitioning. Its tasks cover the incomplete remainder
-    // as a superset (reclaim overlap is gated away at commit), so the exact
-    // tiling assertion below does not apply to this path.
-    restore_from_checkpoint(ctx, restored);
-  } else {
-    if (report_.frames_restored == 0) {
-      enqueue(make_initial_tasks(partition, w, h, frames, worker_count), 0);
+  if (!service_) {
+    // The built-in shot: scene 0, base 0, the whole animation, no tenant
+    // and no client. Service shots arrive over the job queue instead.
+    Shot builtin;
+    builtin.shot_id = 0;
+    builtin.frame_count = frames;
+    shots_.push_back(std::move(builtin));
+    if (config_.recovery != nullptr &&
+        config_.recovery->last_checkpoint.has_value()) {
+      // A scheduler checkpoint survived: resume the compacted task table
+      // instead of re-partitioning. Its tasks cover the incomplete remainder
+      // as a superset (reclaim overlap is gated away at commit), so the
+      // exact tiling of partition_shot does not apply to this path.
+      restore_from_checkpoint(ctx, restored);
     } else {
-      // Partition each maximal run of incomplete frames independently; cuts
-      // are shifted into run-local frame numbers. A task's first frame is a
-      // dense render anyway, so restored frames are free task boundaries.
-      int f = 0;
-      while (f < frames) {
-        if (restored[f]) {
-          ++f;
-          continue;
-        }
-        int b = f;
-        while (b < frames && !restored[b]) ++b;
-        PartitionConfig run = partition;
-        run.sequence_cuts.clear();
-        for (const int cut : partition.sequence_cuts) {
-          if (cut > f && cut < b) run.sequence_cuts.push_back(cut - f);
-        }
-        enqueue(make_initial_tasks(run, w, h, b - f, worker_count), f);
-        f = b;
-      }
+      partition_shot(shots_[0], scene_, restored);
     }
-    assert(covered == area_frames_missing_ &&
-           "tasks must tile area × frames");
   }
 
   // One sink per process. At shards == 1 it carries every region commit,
@@ -196,8 +154,29 @@ void RenderMaster::on_start(Context& ctx) {
     ctx.send_after(config_.sample_interval_seconds, kTagSampleTick, {});
   }
   if (queue_depth_ != nullptr) {
-    queue_depth_->set(static_cast<double>(pending_.size()));
+    queue_depth_->set(static_cast<double>(queued_tasks()));
   }
+}
+
+void RenderMaster::on_shutdown(Context& ctx) {
+  (void)ctx;
+  // The bookkeeping is thousands of small set and map nodes allocated on
+  // this thread. Freed later from the caller's thread (when the master is
+  // destroyed), they park in that thread's malloc cache, get reused there
+  // for long-lived objects, and pin the top of this thread's arena, which
+  // then keeps megabytes of freed frame memory resident (perfbench's
+  // tenant_shots, 4-core x86-64: peak RSS ~88 MB without this, ~74 MB with
+  // it). Freed here, they return to this thread's arena as it exits.
+  const auto release = [](auto& c) {
+    std::remove_reference_t<decltype(c)>().swap(c);
+  };
+  release(committed_rects_);
+  release(cancelled_tasks_);
+  release(reassigned_tasks_);
+  release(spec_tasks_);
+  release(spec_clone_tasks_);
+  for (Shot& shot : shots_) release(shot.queue);
+  if (assembler_ != nullptr) assembler_->release_gates();
 }
 
 void RenderMaster::on_message(Context& ctx, const Message& msg) {
@@ -340,7 +319,7 @@ void RenderMaster::handle_idle(Context& ctx, int worker, bool hello) {
     state.queued = true;
     idle_.push_back(worker);
   }
-  try_dispatch(ctx);
+  dispatch(ctx);
   maybe_finish(ctx);
 }
 
@@ -397,11 +376,7 @@ bool RenderMaster::task_fully_committed(const RenderTask& task) const {
   return true;
 }
 
-void RenderMaster::try_dispatch(Context& ctx) {
-  if (service_) {
-    service_dispatch(ctx);
-    return;
-  }
+void RenderMaster::dispatch(Context& ctx) {
   while (!idle_.empty()) {
     const int worker = idle_.front();
     if (workers_[worker].dead) {
@@ -409,33 +384,37 @@ void RenderMaster::try_dispatch(Context& ctx) {
       workers_[worker].queued = false;
       continue;
     }
-    // Scan for the first dispatchable task. A speculation winner (or an
-    // overlap from reclaim) may have covered a task entirely while it
-    // waited: drop it instead of paying a worker to render duplicates. A
-    // task touching a dead shard's frames stays queued — its results would
-    // be lost — until the replacement shard re-admits.
-    bool dispatched = false;
-    bool held = false;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (task_fully_committed(*it)) {
-        it = pending_.erase(it);
-        continue;
-      }
-      if (task_blocked_by_dead_shard(*it)) {
-        held = true;
+    const int sid = pick_shot();
+    if (sid >= 0) {
+      // Scan the shot's queue for the first dispatchable task. A
+      // speculation winner (or an overlap from reclaim) may have covered a
+      // task entirely while it waited: drop it instead of paying a worker to
+      // render duplicates. A task touching a dead shard's frames stays
+      // queued — its results would be lost — until the replacement shard
+      // re-admits.
+      Shot& shot = shots_[sid];
+      auto it = shot.queue.begin();
+      while (it != shot.queue.end()) {
+        if (task_fully_committed(*it)) {
+          it = shot.queue.erase(it);
+          continue;
+        }
+        if (!task_blocked_by_dead_shard(*it)) break;
         ++it;
-        continue;
       }
+      // pick_shot vouched for an uncommitted task, so finding none means
+      // every one left is held: wait for the shard to rejoin.
+      if (it == shot.queue.end()) break;
       const RenderTask task = *it;
-      pending_.erase(it);
+      shot.queue.erase(it);
       idle_.pop_front();
       workers_[worker].queued = false;
+      if (shot.tenant >= 0) charge_tenant(ctx, worker, sid, task);
       assign(ctx, worker, task);
-      dispatched = true;
-      break;
+      continue;
     }
-    if (dispatched) continue;
-    if (held) break;  // work exists, but its shard is down: wait for rejoin
+    // No queued work is runnable (empty queues, or every tenant at quota):
+    // fall back to the end-game moves.
     if (config_.partition.adaptive && try_adaptive_split(ctx)) {
       // A split is in flight; idle workers wait for the ack.
       break;
@@ -443,15 +422,16 @@ void RenderMaster::try_dispatch(Context& ctx) {
     if (config_.speculate && try_speculate(ctx)) continue;
     break;
   }
+  preempt_if_backlogged(ctx);
   if (queue_depth_ != nullptr) {
-    queue_depth_->set(static_cast<double>(pending_.size()));
+    queue_depth_->set(static_cast<double>(queued_tasks()));
   }
 }
 
 bool RenderMaster::try_speculate(Context& ctx) {
-  // End-game gate: nothing pending, and strictly more idle live workers
-  // than tasks still running — duplicating the straggler costs capacity
-  // that would otherwise sit idle until the last frame lands.
+  // End-game gate: nothing runnable queued, and strictly more idle live
+  // workers than tasks still running — duplicating the straggler costs
+  // capacity that would otherwise sit idle until the last frame lands.
   int idle_live = 0;
   for (const int w : idle_) {
     if (!workers_[w].dead) ++idle_live;
@@ -496,16 +476,9 @@ bool RenderMaster::try_speculate(Context& ctx) {
   clone.frame_count = vs.end_frame - vs.next_expected;
   clone.scene_id = vs.task.scene_id;
   clone.frame_delta = vs.task.frame_delta;
-  if (service_) {
-    // Clones are speculative, not admitted work: they stay uncharged
-    // against the tenant's quota and are the first thing backlog
-    // preemption dissolves.
-    const auto shot_it = task_shot_.find(vs.task.task_id);
-    if (shot_it != task_shot_.end()) {
-      task_shot_[clone.task_id] = shot_it->second;
-    }
-    spec_clone_tasks_.insert(clone.task_id);
-  }
+  // Clones are speculative, not admitted work: they stay uncharged against
+  // any tenant's quota and are the first thing backlog preemption dissolves.
+  spec_clone_tasks_.insert(clone.task_id);
   spec_partner_[clone.task_id] = vs.task.task_id;
   spec_partner_[vs.task.task_id] = clone.task_id;
   spec_tasks_.insert(clone.task_id);
@@ -542,13 +515,7 @@ void RenderMaster::finish_speculation(Context& ctx, std::int32_t winner_task,
       continue;
     }
     s.end_frame = std::min(s.end_frame, s.next_expected);
-    if (!s.awaiting_ack) {
-      ShrinkRequest req;
-      req.task_id = loser_task;
-      req.new_end_frame = s.next_expected;
-      s.awaiting_ack = true;
-      ctx.send(w, kTagShrink, encode_shrink(req));
-    }
+    stop_at_delivered(ctx, w);
     break;
   }
 }
@@ -618,22 +585,10 @@ void RenderMaster::handle_shrink_ack(Context& ctx, const Message& msg) {
                                {"first_frame", stolen.first_frame},
                                {"frames", stolen.frame_count}});
     }
-    if (service_) {
-      // Stolen work stays in its shot's queue; a shot cancelled while the
-      // shrink was in flight drops the range (its area is written off).
-      const auto shot_it = task_shot_.find(s.task.task_id);
-      const int sid = shot_it != task_shot_.end() ? shot_it->second : -1;
-      if (sid >= 0 && shots_[sid].phase == ShotPhase::kActive) {
-        task_shot_[stolen.task_id] = sid;
-        shots_[sid].queue.push_back(stolen);
-        ++report_.adaptive_splits;
-      }
-    } else {
-      pending_.push_back(stolen);
-      ++report_.adaptive_splits;
-    }
+    // A shot cancelled while the shrink was in flight drops the range.
+    if (requeue(stolen)) ++report_.adaptive_splits;
   }
-  try_dispatch(ctx);
+  dispatch(ctx);
   maybe_finish(ctx);
 }
 
@@ -662,19 +617,11 @@ void RenderMaster::handle_task_nack(Context& ctx, const Message& msg) {
                              {"task", nack.task_id}});
   }
   if (s.end_frame > s.task.first_frame) {
-    RenderTask requeue = s.task;
-    requeue.frame_count = s.end_frame - s.task.first_frame;
-    if (service_) {
-      const auto shot_it = task_shot_.find(requeue.task_id);
-      const int sid = shot_it != task_shot_.end() ? shot_it->second : -1;
-      if (sid >= 0 && shots_[sid].phase == ShotPhase::kActive) {
-        shots_[sid].queue.push_back(requeue);
-      }
-    } else {
-      pending_.push_back(requeue);
-    }
+    RenderTask refused = s.task;
+    refused.frame_count = s.end_frame - s.task.first_frame;
+    requeue(refused);
   }
-  try_dispatch(ctx);
+  dispatch(ctx);
   maybe_finish(ctx);
 }
 
@@ -692,7 +639,7 @@ void RenderMaster::release_pending_request(Context& ctx, int worker) {
     s.queued = true;
     idle_.push_back(worker);
   }
-  try_dispatch(ctx);
+  dispatch(ctx);
 }
 
 void RenderMaster::receive_commit_digest(Context& ctx, const Message& msg) {
@@ -776,19 +723,18 @@ void RenderMaster::handle_commit_digest(Context& ctx, const CommitDigest& d) {
       assert(frame_area_missing_[d.frame] >= 0);
       if (frame_area_missing_[d.frame] == 0) {
         ++report_.frames_completed;
-        if (service_) {
-          const int sid = shot_of_frame(d.frame);
-          assert(sid >= 0 && "completed frame belongs to no shot");
-          if (sid >= 0) {
-            Shot& shot = shots_[sid];
-            ++shot.frames_done;
-            Tenant& tenant = tenants_[shot.tenant];
-            ++tenant.frames_committed;
-            if (tenant.frames_counter != nullptr) tenant.frames_counter->inc();
-            if (shot.phase == ShotPhase::kActive &&
-                shot.frames_done >= shot.frame_count) {
-              finish_shot(ctx, shot);
-            }
+        const int sid = shot_of_frame(d.frame);
+        assert(sid >= 0 && "completed frame belongs to no shot");
+        Shot& shot = shots_[sid];
+        ++shot.frames_done;
+        if (shot.tenant >= 0) {
+          // A client shot: credit its tenant and tell the client once done.
+          Tenant& tenant = tenants_[shot.tenant];
+          ++tenant.frames_committed;
+          if (tenant.frames_counter != nullptr) tenant.frames_counter->inc();
+          if (shot.phase == ShotPhase::kActive &&
+              shot.frames_done >= shot.frame_count) {
+            finish_shot(ctx, shot);
           }
         }
       }
@@ -849,7 +795,7 @@ bool RenderMaster::advance_worker(Context& ctx, const CommitDigest& d) {
     if (!s.dead && s.active && !s.cancelled && s.task.task_id == d.task_id &&
         cancelled_tasks_.count(d.task_id) == 0) {
       write_off(ctx, d.worker);
-      try_dispatch(ctx);
+      dispatch(ctx);
     }
     return false;
   }
@@ -867,7 +813,7 @@ bool RenderMaster::advance_worker(Context& ctx, const CommitDigest& d) {
       // worker→owner and owner→scheduler edges, so the missing frame was
       // genuinely lost: cancel and reclaim.
       write_off(ctx, d.worker);
-      try_dispatch(ctx);
+      dispatch(ctx);
       return false;
     }
     // Cross-shard reordering: a later-owned frame's digest overtook an
@@ -894,13 +840,15 @@ void RenderMaster::write_checkpoint() {
   for (std::size_t f = 0; f < frame_area_missing_.size(); ++f) {
     cp.completed[f] = frame_area_missing_[f] == 0;
   }
-  for (const RenderTask& t : pending_) {
-    CheckpointRecord::Task task;
-    task.task_id = t.task_id;
-    task.rect = t.region;
-    task.first_frame = t.first_frame;
-    task.frame_count = t.frame_count;
-    cp.pending.push_back(task);
+  for (const Shot& shot : shots_) {
+    for (const RenderTask& t : shot.queue) {
+      CheckpointRecord::Task task;
+      task.task_id = t.task_id;
+      task.rect = t.region;
+      task.first_frame = t.first_frame;
+      task.frame_count = t.frame_count;
+      cp.pending.push_back(task);
+    }
   }
   for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
     const WorkerState& s = workers_[w];
@@ -956,45 +904,33 @@ void RenderMaster::cancel_and_reclaim(Context& ctx, int worker) {
     spec_partner_.erase(it->second);
     spec_partner_.erase(s.task.task_id);
   }
-  if (s.end_frame > s.next_expected) {
-    // Service mode: a reclaim belongs to the owning shot's queue, and a
-    // shot already past kActive has had its remaining area written off —
-    // reclaiming it would enqueue work nobody is waiting for.
-    int sid = -1;
-    if (service_) {
-      const auto shot_it = task_shot_.find(s.task.task_id);
-      sid = shot_it != task_shot_.end() ? shot_it->second : -1;
-      if (sid >= 0 && shots_[sid].phase != ShotPhase::kActive) sid = -1;
+  // A shot already past kActive has had its remaining area written off:
+  // reclaiming it would enqueue work nobody is waiting for.
+  Shot* shot = s.end_frame > s.next_expected ? open_shot(s.next_expected)
+                                              : nullptr;
+  if (shot != nullptr) {
+    RenderTask reclaim;
+    reclaim.task_id = next_task_id_++;
+    reclaim.region = s.task.region;
+    reclaim.first_frame = s.next_expected;
+    reclaim.frame_count = s.end_frame - s.next_expected;
+    reclaim.scene_id = s.task.scene_id;
+    reclaim.frame_delta = s.task.frame_delta;
+    reassigned_tasks_.insert(reclaim.task_id);
+    if (config_.tracer != nullptr) {
+      config_.tracer->instant(ctx.rank(), "sched", "task.reclaim",
+                              ctx.now(),
+                              {{"worker", worker},
+                               {"task", reclaim.task_id},
+                               {"first_frame", reclaim.first_frame},
+                               {"frames", reclaim.frame_count}});
     }
-    if (!service_ || sid >= 0) {
-      RenderTask reclaim;
-      reclaim.task_id = next_task_id_++;
-      reclaim.region = s.task.region;
-      reclaim.first_frame = s.next_expected;
-      reclaim.frame_count = s.end_frame - s.next_expected;
-      reclaim.scene_id = s.task.scene_id;
-      reclaim.frame_delta = s.task.frame_delta;
-      reassigned_tasks_.insert(reclaim.task_id);
-      if (config_.tracer != nullptr) {
-        config_.tracer->instant(ctx.rank(), "sched", "task.reclaim",
-                                ctx.now(),
-                                {{"worker", worker},
-                                 {"task", reclaim.task_id},
-                                 {"first_frame", reclaim.first_frame},
-                                 {"frames", reclaim.frame_count}});
-      }
-      if (service_) {
-        task_shot_[reclaim.task_id] = sid;
-        shots_[sid].queue.push_back(reclaim);
-      } else {
-        pending_.push_back(reclaim);
-      }
-      ++fault_report_.tasks_reassigned;
-      fault_report_.frames_reassigned += reclaim.frame_count;
-    }
+    shot->queue.push_back(reclaim);
+    ++fault_report_.tasks_reassigned;
+    fault_report_.frames_reassigned += reclaim.frame_count;
   }
   // Digests for the written-off range are moot; a parked request completes
-  // its idle transition now (every caller follows with try_dispatch, and a
+  // its idle transition now (every caller follows with dispatch, and a
   // rank declared dead right after this is skipped by the dispatch loop).
   s.deferred_frames.clear();
   if (s.request_pending) {
@@ -1011,17 +947,19 @@ void RenderMaster::cancel_and_reclaim(Context& ctx, int worker) {
 }
 
 void RenderMaster::write_off(Context& ctx, int worker) {
-  WorkerState& s = workers_[worker];
-  const std::int32_t task_id = s.task.task_id;
   cancel_and_reclaim(ctx, worker);
-  if (s.active && !s.awaiting_ack) {
-    // Tell the worker to stop wasting time on the written-off range.
-    ShrinkRequest req;
-    req.task_id = task_id;
-    req.new_end_frame = s.next_expected;
-    s.awaiting_ack = true;
-    ctx.send(worker, kTagShrink, encode_shrink(req));
-  }
+  // Tell the worker to stop wasting time on the written-off range.
+  if (workers_[worker].active) stop_at_delivered(ctx, worker);
+}
+
+void RenderMaster::stop_at_delivered(Context& ctx, int worker) {
+  WorkerState& s = workers_[worker];
+  if (s.awaiting_ack) return;  // the shrink in flight stops it already
+  ShrinkRequest req;
+  req.task_id = s.task.task_id;
+  req.new_end_frame = s.next_expected;
+  s.awaiting_ack = true;
+  ctx.send(worker, kTagShrink, encode_shrink(req));
 }
 
 void RenderMaster::declare_dead(Context& ctx, int worker) {
@@ -1048,7 +986,7 @@ void RenderMaster::declare_dead(Context& ctx, int worker) {
     ctx.stop();
     return;
   }
-  try_dispatch(ctx);
+  dispatch(ctx);
   maybe_finish(ctx);
 }
 
@@ -1102,14 +1040,8 @@ void RenderMaster::handle_lease_check(Context& ctx, const Message& msg) {
     // worker to abandon any rendering it is silently doing. If it is truly
     // idle (the assignment itself was lost) it rejoins on its next request.
     cancel_and_reclaim(ctx, check.worker);
-    if (!s.awaiting_ack) {
-      ShrinkRequest req;
-      req.task_id = check.task_id;
-      req.new_end_frame = s.next_expected;
-      s.awaiting_ack = true;
-      ctx.send(check.worker, kTagShrink, encode_shrink(req));
-    }
-    try_dispatch(ctx);
+    stop_at_delivered(ctx, check.worker);
+    dispatch(ctx);
     maybe_finish(ctx);
     return;
   }
@@ -1177,7 +1109,7 @@ void RenderMaster::declare_shard_dead(Context& ctx, int shard) {
                             {{"shard", shard}});
   }
   rollback_dead_shard(ctx, shard);
-  try_dispatch(ctx);
+  dispatch(ctx);
   maybe_finish(ctx);
 }
 
@@ -1227,19 +1159,29 @@ void RenderMaster::enqueue_lost_cells(
     const std::set<int>& frames = kv.second.second;
     auto it = frames.begin();
     while (it != frames.end()) {
+      // A run stops at its shot's end: every task lies inside one shot.
       const int first = *it;
+      const int sid = shot_of_frame(first);
       int last = first;
       auto run_end = it;
       ++run_end;
-      while (run_end != frames.end() && *run_end == last + 1) {
+      while (run_end != frames.end() && *run_end == last + 1 &&
+             shot_of_frame(*run_end) == sid) {
         last = *run_end;
         ++run_end;
+      }
+      Shot* shot = open_shot(first);
+      if (shot == nullptr) {
+        it = run_end;
+        continue;
       }
       RenderTask reclaim;
       reclaim.task_id = next_task_id_++;
       reclaim.region = rect;
       reclaim.first_frame = first;
       reclaim.frame_count = last - first + 1;
+      reclaim.scene_id = shot->scene_id;
+      reclaim.frame_delta = shot->scene_first_frame - shot->base_frame;
       reassigned_tasks_.insert(reclaim.task_id);
       if (config_.tracer != nullptr) {
         config_.tracer->instant(ctx.rank(), "sched", "task.reclaim",
@@ -1248,7 +1190,7 @@ void RenderMaster::enqueue_lost_cells(
                                  {"first_frame", reclaim.first_frame},
                                  {"frames", reclaim.frame_count}});
       }
-      pending_.push_back(reclaim);
+      shot->queue.push_back(reclaim);
       ++fault_report_.tasks_reassigned;
       fault_report_.frames_reassigned += reclaim.frame_count;
       it = run_end;
@@ -1295,7 +1237,7 @@ void RenderMaster::handle_shard_hello(Context& ctx, int source) {
     // declared dead still has its chain running — don't stack a second.)
     arm_shard_lease(ctx, shard, config_.fault.lease_base_seconds, 0);
   }
-  try_dispatch(ctx);
+  dispatch(ctx);
   maybe_finish(ctx);
 }
 
@@ -1383,7 +1325,7 @@ void RenderMaster::restore_from_checkpoint(Context& ctx,
       task.first_frame = f;
       task.frame_count = b - f;
       if (recovery_restart) reassigned_tasks_.insert(task.task_id);
-      pending_.push_back(task);
+      requeue(task);
       ++tasks_restored;
       f = b;
     }
@@ -1430,7 +1372,7 @@ void RenderMaster::restore_from_checkpoint(Context& ctx,
     task.first_frame = wf;
     task.frame_count = b - wf;
     reassigned_tasks_.insert(task.task_id);
-    pending_.push_back(task);
+    requeue(task);
     ++tasks_restored;
     wf = b;
   }
@@ -1476,7 +1418,7 @@ std::string RenderMaster::render_status_json(Context& ctx) const {
   append_json_double(&j, ctx.now());
   j += ", \"stopping\": ";
   j += stopping_ ? "true" : "false";
-  j += ", \"pending_tasks\": " + std::to_string(pending_.size());
+  j += ", \"pending_tasks\": " + std::to_string(queued_tasks());
   j += ", \"frames_completed\": " + std::to_string(report_.frames_completed);
   j += ", \"frame_results\": " + std::to_string(report_.frame_results);
   j += ", \"straggler_flags\": " + std::to_string(report_.straggler_flags);
@@ -1537,37 +1479,37 @@ std::string RenderMaster::render_status_json(Context& ctx) const {
     }
     j += "]";
   }
-  if (service_) {
-    j += ", \"tenants\": [";
-    first = true;
-    for (const Tenant& t : tenants_) {
-      if (!first) j += ", ";
-      first = false;
-      j += "{\"name\": \"" + t.name + "\"";
-      j += ", \"weight\": ";
-      append_json_double(&j, t.weight);
-      j += ", \"quota\": " + std::to_string(t.quota);
-      j += ", \"inflight\": " + std::to_string(t.inflight);
-      j += ", \"tasks_assigned\": " + std::to_string(t.tasks_assigned);
-      j += ", \"units_assigned\": " + std::to_string(t.units_assigned);
-      j += ", \"frames_committed\": " + std::to_string(t.frames_committed);
-      j += "}";
-    }
-    j += "], \"shots\": [";
-    first = true;
-    for (const Shot& s : shots_) {
-      if (!first) j += ", ";
-      first = false;
-      j += "{\"shot\": " + std::to_string(s.shot_id);
-      j += ", \"tenant\": \"" + tenants_[s.tenant].name + "\"";
-      j += ", \"phase\": \"" + std::string(to_string(s.phase)) + "\"";
-      j += ", \"frames_done\": " + std::to_string(s.frames_done);
-      j += ", \"frame_count\": " + std::to_string(s.frame_count);
-      j += ", \"queued_tasks\": " + std::to_string(s.queue.size());
-      j += "}";
-    }
-    j += "]";
+  // Client tenants and shots (both empty in a classic run).
+  j += ", \"tenants\": [";
+  first = true;
+  for (const Tenant& t : tenants_) {
+    if (!first) j += ", ";
+    first = false;
+    j += "{\"name\": \"" + t.name + "\"";
+    j += ", \"weight\": ";
+    append_json_double(&j, t.weight);
+    j += ", \"quota\": " + std::to_string(t.quota);
+    j += ", \"inflight\": " + std::to_string(t.inflight);
+    j += ", \"tasks_assigned\": " + std::to_string(t.tasks_assigned);
+    j += ", \"units_assigned\": " + std::to_string(t.units_assigned);
+    j += ", \"frames_committed\": " + std::to_string(t.frames_committed);
+    j += "}";
   }
+  j += "], \"shots\": [";
+  first = true;
+  for (const Shot& s : shots_) {
+    if (s.tenant < 0) continue;  // the classic run's built-in shot
+    if (!first) j += ", ";
+    first = false;
+    j += "{\"shot\": " + std::to_string(s.shot_id);
+    j += ", \"tenant\": \"" + tenants_[s.tenant].name + "\"";
+    j += ", \"phase\": \"" + std::string(to_string(s.phase)) + "\"";
+    j += ", \"frames_done\": " + std::to_string(s.frames_done);
+    j += ", \"frame_count\": " + std::to_string(s.frame_count);
+    j += ", \"queued_tasks\": " + std::to_string(s.queue.size());
+    j += "}";
+  }
+  j += "]";
   j += "}\n";
   return j;
 }
@@ -1597,44 +1539,26 @@ void RenderMaster::note_commit(Context& ctx, int worker, std::int32_t task_id,
 }
 
 void RenderMaster::maybe_finish(Context& ctx) {
-  if (service_) {
-    if (stopping_) return;
-    // The service run ends only when every client has declared itself done
-    // (no further submits can arrive), every admitted pixel is committed or
-    // written off, and no active shot still queues real work.
-    if (static_cast<int>(done_clients_.size()) <
-        config_.service.client_count) {
-      return;
-    }
-    if (area_frames_missing_ != 0) return;
-    for (Shot& shot : shots_) {
-      if (shot.phase != ShotPhase::kActive) continue;
-      while (!shot.queue.empty() &&
-             task_fully_committed(shot.queue.front())) {
-        shot.queue.pop_front();
-      }
-      if (!shot.queue.empty()) return;
-    }
-    stopping_ = true;
-    for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-      if (!workers_[w].dead) ctx.send(w, kTagStop, {});
-    }
-    for (int c = 0; c < config_.service.client_count; ++c) {
-      ctx.send(static_cast<int>(workers_.size()) + c, kTagStop, {});
-    }
-    ctx.stop();
-    return;
-  }
   if (stopping_ || area_frames_missing_ != 0) return;
-  // Every pixel is committed, so anything still pending (speculation
-  // leftovers, reclaim overlap) is duplicate work by definition.
-  while (!pending_.empty() && task_fully_committed(pending_.front())) {
-    pending_.pop_front();
+  // Every admitted pixel is committed (or written off with its shot), so
+  // anything an active shot still queues (speculation leftovers, reclaim
+  // overlap) is duplicate work by definition.
+  bool queued = false;
+  for (Shot& shot : shots_) {
+    if (shot.phase != ShotPhase::kActive) continue;
+    while (!shot.queue.empty() && task_fully_committed(shot.queue.front())) {
+      shot.queue.pop_front();
+    }
+    queued = queued || !shot.queue.empty();
   }
   if (queue_depth_ != nullptr) {
-    queue_depth_->set(static_cast<double>(pending_.size()));
+    queue_depth_->set(static_cast<double>(queued_tasks()));
   }
-  if (!pending_.empty()) return;
+  // Until every client has declared itself done, more shots may arrive.
+  if (queued || static_cast<int>(done_clients_.size()) <
+                    config_.service.client_count) {
+    return;
+  }
   stopping_ = true;
   for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
     if (!workers_[w].dead) ctx.send(w, kTagStop, {});
@@ -1643,6 +1567,9 @@ void RenderMaster::maybe_finish(Context& ctx) {
     for (int i = 0; i < config_.shards.shard_count; ++i) {
       ctx.send(config_.shards.rank_of_shard(i), kTagStop, {});
     }
+  }
+  for (int c = 0; c < config_.service.client_count; ++c) {
+    ctx.send(static_cast<int>(workers_.size()) + c, kTagStop, {});
   }
   ctx.stop();
 }
@@ -1707,7 +1634,7 @@ int RenderMaster::tenant_for(const std::string& name, double weight,
 }
 
 void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
-  if (!service_ || !is_client_rank(ctx, msg.source) || stopping_) return;
+  if (!is_client_rank(ctx, msg.source) || stopping_) return;
   const auto reject = [&](std::int32_t ref, const std::string& why) {
     ++report_.shots_rejected;
     if (config_.tracer != nullptr) {
@@ -1777,6 +1704,7 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
   // Grow the global frame space: the shot's frames live at
   // [base, base + frame_count) and map back to the scene through
   // frame_delta (scene_frame = global_frame + frame_delta).
+  assert(assembler_ != nullptr && "shots need the colocated frame owner");
   assembler_->extend(sub.frame_count);
   frame_area_missing_.resize(
       frame_area_missing_.size() + static_cast<std::size_t>(sub.frame_count),
@@ -1785,34 +1713,7 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
                           static_cast<std::size_t>(sub.frame_count));
   area_frames_missing_ += std::int64_t{w} * h * sub.frame_count;
 
-  // Partition the shot on its own: camera cuts inside the shot's range are
-  // free task boundaries, shifted into shot-local frame numbers.
-  PartitionConfig partition = config_.partition;
-  if (partition.scheme == PartitionScheme::kSequenceDivision &&
-      partition.sequence_cuts.empty()) {
-    for (const AnimatedScene::Shot& cut : scene.split_shots()) {
-      if (cut.first_frame > sub.first_frame &&
-          cut.first_frame < sub.first_frame + sub.frame_count) {
-        partition.sequence_cuts.push_back(cut.first_frame - sub.first_frame);
-      }
-    }
-  }
-  const int worker_count = static_cast<int>(workers_.size()) - 1;
-  std::int64_t covered = 0;
-  for (RenderTask& task :
-       make_initial_tasks(partition, w, h, sub.frame_count, worker_count)) {
-    task.task_id = next_task_id_++;
-    task.first_frame += base;
-    task.scene_id = sub.scene_id;
-    task.frame_delta = sub.first_frame - base;
-    covered +=
-        static_cast<std::int64_t>(task.region.area()) * task.frame_count;
-    task_shot_[task.task_id] = shot_id;
-    shot.queue.push_back(task);
-  }
-  assert(covered == std::int64_t{w} * h * sub.frame_count &&
-         "shot tasks must tile area × frames");
-  shot.units_total = covered;
+  partition_shot(shot, scene, {});
   shots_.push_back(std::move(shot));
   ++report_.shots_submitted;
   if (config_.tracer != nullptr) {
@@ -1827,11 +1728,11 @@ void RenderMaster::handle_shot_submit(Context& ctx, const Message& msg) {
   acc.shot_id = shot_id;
   acc.base_frame = base;
   ctx.send(msg.source, kTagShotAccept, encode_shot_accept(acc));
-  try_dispatch(ctx);
+  dispatch(ctx);
 }
 
 void RenderMaster::handle_shot_status(Context& ctx, const Message& msg) {
-  if (!service_ || !is_client_rank(ctx, msg.source)) return;
+  if (!is_client_rank(ctx, msg.source)) return;
   ShotStatusRequest req;
   if (!decode_shot_status_request(&req, msg.payload)) return;
   ShotStatusReply reply;
@@ -1847,7 +1748,7 @@ void RenderMaster::handle_shot_status(Context& ctx, const Message& msg) {
 }
 
 void RenderMaster::handle_shot_cancel(Context& ctx, const Message& msg) {
-  if (!service_ || !is_client_rank(ctx, msg.source)) return;
+  if (!is_client_rank(ctx, msg.source)) return;
   ShotCancel cancel;
   if (!decode_shot_cancel(&cancel, msg.payload)) return;
   if (cancel.shot_id < 0 ||
@@ -1874,33 +1775,16 @@ void RenderMaster::handle_shot_cancel(Context& ctx, const Message& msg) {
                              {"frames_done", shot.frames_done}});
   }
   // Queued tasks just vanish; in-flight ones are written off like a lease
-  // expiry — results are discarded and the worker is told to stop.
+  // expiry — results are discarded and the worker is told to stop. The
+  // cancelled shot takes no reclaim, so nothing of it is requeued.
   for (const RenderTask& task : shot.queue) {
     cancelled_tasks_.insert(task.task_id);
-    task_shot_.erase(task.task_id);
   }
   shot.queue.clear();
   for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
-    WorkerState& s = workers_[w];
+    const WorkerState& s = workers_[w];
     if (s.dead || !s.active || s.cancelled) continue;
-    const auto it = task_shot_.find(s.task.task_id);
-    if (it == task_shot_.end() || it->second != cancel.shot_id) continue;
-    release_assignment(w);
-    s.cancelled = true;
-    cancelled_tasks_.insert(s.task.task_id);
-    assembler_->reject_task(s.task.task_id);
-    const auto sp = spec_partner_.find(s.task.task_id);
-    if (sp != spec_partner_.end()) {
-      spec_partner_.erase(sp->second);
-      spec_partner_.erase(s.task.task_id);
-    }
-    if (!s.awaiting_ack) {
-      ShrinkRequest req;
-      req.task_id = s.task.task_id;
-      req.new_end_frame = s.next_expected;
-      s.awaiting_ack = true;
-      ctx.send(w, kTagShrink, encode_shrink(req));
-    }
+    if (shot_of_frame(s.task.first_frame) == cancel.shot_id) write_off(ctx, w);
   }
   // The dropped pixels will never arrive: write their area off so the run
   // can finish without them. Not counted as completed frames.
@@ -1914,12 +1798,12 @@ void RenderMaster::handle_shot_cancel(Context& ctx, const Message& msg) {
   update.phase = ShotPhase::kCancelled;
   update.frames_done = shot.frames_done;
   ctx.send(msg.source, kTagShotUpdate, encode_shot_update(update));
-  try_dispatch(ctx);
+  dispatch(ctx);
   maybe_finish(ctx);
 }
 
 void RenderMaster::handle_client_done(Context& ctx, int source) {
-  if (!service_ || !is_client_rank(ctx, source)) return;
+  if (!is_client_rank(ctx, source)) return;
   done_clients_.insert(source);
   maybe_finish(ctx);
 }
@@ -1937,6 +1821,14 @@ int RenderMaster::runnable_shot(int tenant) {
     if (!shot.queue.empty()) return sid;
   }
   return -1;
+}
+
+int RenderMaster::pick_shot() {
+  // Without tenants the only queue is the classic run's built-in shot
+  // (tenant -1); otherwise the weighted-fair stride queue picks.
+  if (tenants_.empty()) return runnable_shot(-1);
+  const int tenant = pick_tenant();
+  return tenant >= 0 ? runnable_shot(tenant) : -1;
 }
 
 int RenderMaster::pick_tenant() {
@@ -1971,8 +1863,9 @@ int RenderMaster::pick_tenant() {
   return best;
 }
 
-void RenderMaster::charge_tenant(Context& ctx, int worker, int tenant,
+void RenderMaster::charge_tenant(Context& ctx, int worker, int sid,
                                  const RenderTask& task) {
+  const int tenant = shots_[sid].tenant;
   Tenant& t = tenants_[tenant];
   ++t.inflight;
   t.peak_inflight = std::max(t.peak_inflight, t.inflight);
@@ -1984,10 +1877,9 @@ void RenderMaster::charge_tenant(Context& ctx, int worker, int tenant,
   affinity_tenant_ = tenant;
   if (t.assigns_counter != nullptr) t.assigns_counter->inc();
   workers_[worker].charged_tenant = tenant;
-  const auto shot_it = task_shot_.find(task.task_id);
   ServiceAssignment grant;
   grant.tenant = tenant;
-  grant.shot_id = shot_it != task_shot_.end() ? shot_it->second : -1;
+  grant.shot_id = sid;
   grant.units = units;
   assignment_log_.push_back(grant);
   if (config_.tracer != nullptr) {
@@ -2007,48 +1899,12 @@ void RenderMaster::release_assignment(int worker) {
   s.charged_tenant = -1;
 }
 
-void RenderMaster::service_dispatch(Context& ctx) {
-  while (!idle_.empty()) {
-    const int worker = idle_.front();
-    if (workers_[worker].dead) {
-      idle_.pop_front();
-      workers_[worker].queued = false;
-      continue;
-    }
-    const int tenant = pick_tenant();
-    if (tenant >= 0) {
-      const int sid = runnable_shot(tenant);
-      assert(sid >= 0);
-      Shot& shot = shots_[sid];
-      const RenderTask task = shot.queue.front();
-      shot.queue.pop_front();
-      idle_.pop_front();
-      workers_[worker].queued = false;
-      charge_tenant(ctx, worker, tenant, task);
-      assign(ctx, worker, task);
-      continue;
-    }
-    // No admitted work is runnable (empty queues or every tenant at quota):
-    // fall back to the classic end-game moves.
-    if (config_.partition.adaptive && try_adaptive_split(ctx)) break;
-    if (config_.speculate && try_speculate(ctx)) continue;
-    break;
-  }
-  service_preempt_if_backlogged(ctx);
-  if (queue_depth_ != nullptr) {
-    std::int64_t depth = 0;
-    for (const Shot& shot : shots_) {
-      depth += static_cast<std::int64_t>(shot.queue.size());
-    }
-    queue_depth_->set(static_cast<double>(depth));
-  }
-}
-
-void RenderMaster::service_preempt_if_backlogged(Context& ctx) {
-  if (!service_ || !config_.speculate || spec_partner_.empty()) return;
+void RenderMaster::preempt_if_backlogged(Context& ctx) {
+  if (!config_.speculate || spec_partner_.empty()) return;
   // Admitted work is waiting and every live worker is busy: speculation
   // clones are the lowest-value occupants, so dissolve one pair and shrink
-  // the clone away — its worker comes back for the real backlog.
+  // the clone away — its worker comes back for the real backlog. Backlog
+  // is a tenant's: without tenants (a classic run) this never fires.
   if (pick_tenant() < 0) return;
   for (const int w : idle_) {
     if (!workers_[w].dead) return;  // an idle worker will take the backlog
@@ -2067,13 +1923,7 @@ void RenderMaster::service_preempt_if_backlogged(Context& ctx) {
                               {{"worker", w}, {"task", s.task.task_id}});
     }
     s.end_frame = std::min(s.end_frame, s.next_expected);
-    if (!s.awaiting_ack) {
-      ShrinkRequest req;
-      req.task_id = s.task.task_id;
-      req.new_end_frame = s.next_expected;
-      s.awaiting_ack = true;
-      ctx.send(w, kTagShrink, encode_shrink(req));
-    }
+    stop_at_delivered(ctx, w);
     break;  // one preemption per backlog check
   }
 }
@@ -2101,6 +1951,84 @@ int RenderMaster::shot_of_frame(std::int32_t frame) const {
     }
   }
   return -1;
+}
+
+RenderMaster::Shot* RenderMaster::open_shot(std::int32_t frame) {
+  const int sid = shot_of_frame(frame);
+  if (sid < 0 || shots_[sid].phase != ShotPhase::kActive) return nullptr;
+  return &shots_[sid];
+}
+
+bool RenderMaster::requeue(const RenderTask& task) {
+  Shot* shot = open_shot(task.first_frame);
+  if (shot == nullptr) return false;
+  shot->queue.push_back(task);
+  return true;
+}
+
+std::int64_t RenderMaster::queued_tasks() const {
+  std::int64_t depth = 0;
+  for (const Shot& shot : shots_) {
+    depth += static_cast<std::int64_t>(shot.queue.size());
+  }
+  return depth;
+}
+
+void RenderMaster::partition_shot(Shot& shot, const AnimatedScene& scene,
+                                  const std::vector<char>& restored) {
+  const int w = scene_.width();
+  const int h = scene_.height();
+  const int worker_count = static_cast<int>(workers_.size()) - 1;
+  // Sequence-division tasks should not straddle camera cuts: a shot change
+  // forces a full re-render anyway, so cuts are free task boundaries
+  // ("any camera movement logically separates one sequence from another").
+  // Cuts are scene frame numbers.
+  std::vector<int> cuts = config_.partition.sequence_cuts;
+  if (config_.partition.scheme == PartitionScheme::kSequenceDivision &&
+      cuts.empty()) {
+    for (const AnimatedScene::Shot& cut : scene.split_shots()) {
+      cuts.push_back(cut.first_frame);
+    }
+  }
+  // Partition each maximal run of frames not restored from disk on its own,
+  // with the cuts inside it shifted into run-local frame numbers. A task's
+  // first frame is a dense render anyway, so restored frames are free task
+  // boundaries.
+  const auto is_restored = [&](int local) {
+    return !restored.empty() && restored[shot.base_frame + local] != 0;
+  };
+  std::int64_t covered = 0;
+  std::int64_t missing = 0;
+  int f = 0;
+  while (f < shot.frame_count) {
+    if (is_restored(f)) {
+      ++f;
+      continue;
+    }
+    int b = f;
+    while (b < shot.frame_count && !is_restored(b)) ++b;
+    const int lo = shot.scene_first_frame + f;
+    const int hi = shot.scene_first_frame + b;
+    PartitionConfig run = config_.partition;
+    run.sequence_cuts.clear();
+    for (const int cut : cuts) {
+      if (cut > lo && cut < hi) run.sequence_cuts.push_back(cut - lo);
+    }
+    for (RenderTask& task :
+         make_initial_tasks(run, w, h, b - f, worker_count)) {
+      task.task_id = next_task_id_++;
+      task.first_frame += shot.base_frame + f;
+      task.scene_id = shot.scene_id;
+      task.frame_delta = shot.scene_first_frame - shot.base_frame;
+      covered +=
+          static_cast<std::int64_t>(task.region.area()) * task.frame_count;
+      shot.queue.push_back(task);
+    }
+    missing += std::int64_t{w} * h * (b - f);
+    f = b;
+  }
+  assert(covered == missing && "tasks must tile area × frames");
+  shot.units_total = covered;
 }
 
 std::string RenderMaster::service_frame_path(std::int32_t frame) const {
@@ -2139,6 +2067,7 @@ std::vector<TenantSummary> RenderMaster::tenant_summaries() const {
 std::vector<ShotSummary> RenderMaster::shot_summaries() const {
   std::vector<ShotSummary> out;
   for (const Shot& shot : shots_) {
+    if (shot.tenant < 0) continue;  // the classic run's built-in shot
     ShotSummary s;
     s.shot_id = shot.shot_id;
     s.tenant = tenants_[shot.tenant].name;

@@ -2,6 +2,16 @@
 // re-splitting when workers idle (Section 3), and drives leases,
 // reassignment, speculation and checkpoints from commit digests.
 //
+// Work is queued per *shot*, the paper's natural unit ("any camera movement
+// logically separates one sequence from another"): a contiguous slice of one
+// global frame space with its own task queue. A classic run admits exactly
+// one built-in shot at start — the whole animation, no tenant, no client —
+// and a service run admits client shots at runtime (MasterServiceConfig).
+// Either way one dispatch loop picks a shot, scans its queue, and falls back
+// to adaptive splits and speculation; every requeue (stolen range, NACK,
+// reclaim, lost cells, checkpoint restore) goes to the shot owning the
+// task's frames.
+//
 // The paper's master also collects pixels and assembles frames. Here that is
 // one commit path whatever the owner count: a FrameAssembler per owner of a
 // frame range decodes each frame result, applies it, writes its journal
@@ -65,10 +75,10 @@
 namespace now {
 
 /// Multi-tenant render service (MasterConfig::service). When enabled the
-/// master admits *shots* at runtime through the job-queue messages
-/// (src/par/jobqueue.h) instead of partitioning one animation up front:
-/// each admitted shot gets a contiguous base in a concatenated global frame
-/// space, its own partition into tasks, and a per-shot queue; a
+/// master admits client *shots* at runtime through the job-queue messages
+/// (src/par/jobqueue.h) instead of the one built-in shot a classic run
+/// starts with: each admitted shot gets a contiguous base in a concatenated
+/// global frame space, its own partition into tasks, and its own queue; a
 /// weighted-fair stride scheduler picks which tenant's shot feeds the next
 /// idle worker; per-tenant quotas cap in-flight tasks; admission backlog
 /// preempts end-game speculation clones first.
@@ -105,7 +115,7 @@ struct MasterConfig {
   /// master restores the completed frames, re-enqueues only the incomplete
   /// remainder, and appends to the journal's valid prefix.
   const RecoveryState* recovery = nullptr;
-  /// End-game speculation: when the pending queue is empty and idle workers
+  /// End-game speculation: when no queued task is runnable and idle workers
   /// outnumber active tasks, clone the slowest task onto an idle worker and
   /// keep whichever copy commits first (duplicate commits are idempotent).
   bool speculate = false;
@@ -137,8 +147,7 @@ struct MasterConfig {
   /// Either way the master schedules from the digests alone.
   ShardMap shards;
   /// Multi-tenant service mode (see MasterServiceConfig). Off by default:
-  /// the classic one-animation-per-process behavior is bit-for-bit
-  /// unchanged.
+  /// a classic run is the one-built-in-shot case of the same scheduler.
   MasterServiceConfig service;
 };
 
@@ -214,6 +223,9 @@ class RenderMaster final : public Actor {
 
   void on_start(Context& ctx) override;
   void on_message(Context& ctx, const Message& msg) override;
+  /// Frees the run's scheduling bookkeeping on the scheduler's own thread;
+  /// what the accessors below read stays.
+  void on_shutdown(Context& ctx) override;
 
   /// The colocated frame owner at shards == 1 (null when sharded). Its
   /// frames are the assembled animation, valid after the runtime finishes;
@@ -222,8 +234,14 @@ class RenderMaster final : public Actor {
   const FrameAssembler* assembler() const { return assembler_.get(); }
   const MasterReport& report() const { return report_; }
   const FaultReport& fault_report() const { return fault_report_; }
+  /// Failed TGA writes of the colocated frame owner's sink (0 when sharded:
+  /// each shard's report counts its own).
+  std::int64_t frame_write_failures() const {
+    return sink_ != nullptr ? sink_->write_failures() : 0;
+  }
 
-  // -- multi-tenant service results (empty in classic mode) --------------
+  // -- multi-tenant service results (client tenants and shots only; empty
+  //    in a classic run, whose built-in shot is not reported) -------------
   std::vector<TenantSummary> tenant_summaries() const;
   std::vector<ShotSummary> shot_summaries() const;
   const std::vector<ServiceAssignment>& assignment_log() const {
@@ -256,10 +274,10 @@ class RenderMaster final : public Actor {
     /// them. A gap within one shard's digests is genuine loss (per-sender
     /// FIFO), never reordering.
     std::set<std::int32_t> deferred_frames;
-    // -- service mode only -----------------------------------------------
     /// Tenant whose quota this worker's assignment is charged against
-    /// (-1 = none). Speculation clones stay uncharged so the quota gate
-    /// (peak_inflight <= quota) holds for admitted work.
+    /// (-1 = none: the built-in shot has no tenant). Speculation clones stay
+    /// uncharged so the quota gate (peak_inflight <= quota) holds for
+    /// admitted work.
     int charged_tenant = -1;
   };
 
@@ -342,7 +360,11 @@ class RenderMaster final : public Actor {
   void note_commit(Context& ctx, int worker, std::int32_t task_id,
                    std::uint64_t trace_ctx, std::int32_t frame,
                    double render_seconds);
-  void try_dispatch(Context& ctx);
+  /// The one dispatch loop: feed idle workers from the picked shot's queue
+  /// (dropping fully-committed tasks, holding ones a dead shard blocks —
+  /// no split or speculation while work is held), else split, else
+  /// speculate; then preempt speculation if a tenant's backlog waits.
+  void dispatch(Context& ctx);
   bool try_adaptive_split(Context& ctx);
   /// End-game: clone the slowest active task onto an idle worker. Returns
   /// true when a clone was dispatched.
@@ -366,9 +388,12 @@ class RenderMaster final : public Actor {
   void cancel_and_reclaim(Context& ctx, int worker);
   /// cancel_and_reclaim, then shrink the worker back to what it delivered.
   void write_off(Context& ctx, int worker);
+  /// Shrink the worker's task to the frames it already delivered, unless a
+  /// shrink is already in flight.
+  void stop_at_delivered(Context& ctx, int worker);
   void declare_dead(Context& ctx, int worker);
 
-  // -- multi-tenant service ----------------------------------------------
+  // -- shots and the multi-tenant service ------------------------------
   /// Weighted-fair admission state for one tenant (stride scheduling: each
   /// grant advances pass by units * kStrideScale / weight, the runnable
   /// tenant with the lowest pass goes next).
@@ -387,10 +412,13 @@ class RenderMaster final : public Actor {
   };
 
   /// One admitted shot: a contiguous [base_frame, base_frame + frame_count)
-  /// slice of the global frame space plus its private task queue.
+  /// slice of the global frame space plus its private task queue. Shots
+  /// tile the frame space and every task lies inside one shot. The classic
+  /// run's built-in shot has tenant -1 and client_rank -1: it gets no
+  /// tenant accounting, no ShotUpdate and no summary.
   struct Shot {
     std::int32_t shot_id = -1;
-    int tenant = -1;  // index into tenants_
+    int tenant = -1;  // index into tenants_, -1 for the built-in shot
     int client_rank = -1;
     std::string label;
     std::int32_t scene_id = 0;
@@ -426,26 +454,39 @@ class RenderMaster final : public Actor {
   /// First active shot of `tenant` (admission order) whose queue still has
   /// an uncommitted task; prunes committed queue heads as a side effect.
   int runnable_shot(int tenant);
-  /// Service-mode half of try_dispatch: feed idle workers via the
-  /// weighted-fair queue, then preempt speculation if backlog remains.
-  void service_dispatch(Context& ctx);
-  void charge_tenant(Context& ctx, int worker, int tenant,
+  /// The shot the next idle worker draws from (-1: none runnable). Without
+  /// tenants that is the built-in shot; otherwise pick_tenant decides.
+  int pick_shot();
+  /// Charge a grant from client shot `sid` to its tenant.
+  void charge_tenant(Context& ctx, int worker, int sid,
                      const RenderTask& task);
   /// Un-charge the quota slot once (idempotent: resets charged_tenant).
   void release_assignment(int worker);
   /// Runnable admitted work, no idle live worker: dissolve one speculation
   /// pair and shrink the clone away so its worker returns for real work.
-  void service_preempt_if_backlogged(Context& ctx);
+  void preempt_if_backlogged(Context& ctx);
   void finish_shot(Context& ctx, Shot& shot);
   /// Shot owning a global frame (-1 when none — cannot happen for frames
-  /// in [0, frames_.size()) once admitted).
+  /// in [0, frame_area_missing_.size()) once admitted).
   int shot_of_frame(std::int32_t frame) const;
+  /// The shot owning `frame` if it is still active (null once done or
+  /// cancelled: its remaining area was written off).
+  Shot* open_shot(std::int32_t frame);
+  /// Queue `task` on the shot owning its frames. False (task dropped) when
+  /// that shot is no longer active.
+  bool requeue(const RenderTask& task);
+  /// Tasks queued across all shots (sched.queue_depth, /status).
+  std::int64_t queued_tasks() const;
+  /// Partition `shot` (of `scene`) into tasks on its queue, skipping frames
+  /// flagged in `restored` (global frame index; empty = none restored).
+  /// Shared by the built-in shot and every admitted client shot.
+  void partition_shot(Shot& shot, const AnimatedScene& scene,
+                      const std::vector<char>& restored);
   std::string service_frame_path(std::int32_t frame) const;
 
   const AnimatedScene& scene_;
   MasterConfig config_;
 
-  std::deque<RenderTask> pending_;
   std::vector<WorkerState> workers_;
   std::deque<int> idle_;
   /// One entry per shard in sharded mode with fault.enabled; empty when
@@ -470,6 +511,9 @@ class RenderMaster final : public Actor {
   /// Every task id that was ever half of a pair: duplicate commits from
   /// these are speculation waste, not protocol anomalies.
   std::set<std::int32_t> spec_tasks_;
+  /// Task ids that are speculation *clones* (uncharged): the pool the
+  /// backlog preemption drains first.
+  std::set<std::int32_t> spec_clone_tasks_;
   /// Durable IO (journal appends + TGA writes). At shards == 1 the
   /// colocated assembler writes through it too; in sharded mode it carries
   /// the scheduler's checkpoint-only journal and never sees pixels.
@@ -488,17 +532,16 @@ class RenderMaster final : public Actor {
 
   StragglerDetector straggler_;
 
-  // -- multi-tenant service (all empty/false in classic mode) ------------
+  /// Every task queue: the built-in shot in a classic run, admitted client
+  /// shots in a service run.
+  std::vector<Shot> shots_;                 // shot_id == index, base order
+
+  // -- multi-tenant service (empty/false in a classic run) ---------------
   bool service_ = false;
   std::vector<Tenant> tenants_;
   std::map<std::string, int> tenant_ids_;   // name → index into tenants_
   /// Last tenant granted work (shot affinity in pick_tenant); -1 = none.
   int affinity_tenant_ = -1;
-  std::vector<Shot> shots_;                 // shot_id == index, base order
-  std::map<std::int32_t, std::int32_t> task_shot_;  // task_id → shot_id
-  /// Task ids that are speculation *clones* (uncharged): the pool the
-  /// backlog preemption drains first.
-  std::set<std::int32_t> spec_clone_tasks_;
   std::set<int> done_clients_;              // client ranks that sent done
   std::vector<ServiceAssignment> assignment_log_;
 

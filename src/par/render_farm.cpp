@@ -639,8 +639,12 @@ FarmResult render_farm(const AnimatedScene& scene, const FarmConfig& config) {
     status_server->stop();
   }
   result.metrics = registry.snapshot();
-  result.frame_write_failures = static_cast<std::int64_t>(
-      result.metrics.counter("frames.write_failures"));
+  // Read from the frame owners' sinks, not the registry: frame loss must
+  // show even with obs.metrics off.
+  result.frame_write_failures = master.frame_write_failures();
+  for (const ShardReport& s : result.shards) {
+    result.frame_write_failures += s.frame_write_failures;
+  }
   if (config.obs.trace) {
     result.trace_events = tracer.sorted_events();
     result.utilization = compute_utilization(

@@ -166,9 +166,10 @@ struct FarmResult {
   std::vector<ShardReport> shards;
   FaultReport faults;  // detection / recovery accounting (master's view)
   ResumeReport resume;  // what a --resume run restored
-  /// Completed frames whose TGA could not be written to output_dir (the
-  /// frames.write_failures counter; 0 when obs.metrics is off). Such a frame
-  /// is still in `frames` but has no frame-complete journal record.
+  /// Completed frames whose TGA could not be written to output_dir, counted
+  /// by the frame owners' sinks (also the frames.write_failures counter when
+  /// obs.metrics is on). Such a frame is still in `frames` but has no
+  /// frame-complete journal record.
   std::int64_t frame_write_failures = 0;
   /// Unified metrics snapshot — the one reporting path shared by all three
   /// backends. Backend-specific series (e.g. sim.* and rank.* gauges from

@@ -56,6 +56,11 @@ void FrameAssembler::reject_task(std::int32_t task_id) {
   chains_[task_id].broken = true;
 }
 
+void FrameAssembler::release_gates() {
+  std::vector<std::set<std::uint64_t>>().swap(committed_rects_);
+  std::map<std::int32_t, Chain>().swap(chains_);
+}
+
 void FrameAssembler::reset(FrameSink* sink) {
   const std::size_t owned = frames_.size();
   frames_.assign(owned, Framebuffer(width_, height_));

@@ -49,6 +49,9 @@ struct ShardReport {
   std::int64_t journal_records = 0;
   std::int64_t journal_bytes = 0;
   bool journal_ok = true;
+  /// Completed frames whose TGA could not be written, across every
+  /// incarnation's sink.
+  std::int64_t frame_write_failures = 0;
   /// Failover rebuilds: the shard rank died (or was fenced by the
   /// scheduler), replayed its journal segment, and re-announced itself.
   std::int64_t rebuilds = 0;
@@ -88,6 +91,11 @@ class FrameAssembler {
   /// The owner wrote `task_id` off: every later result for it is a chain
   /// reject, so nothing of a cancelled task is applied.
   void reject_task(std::int32_t task_id);
+
+  /// The owner's run is over: free the commit gates and chains on the
+  /// calling thread. Frames and report stay readable; commit() must not be
+  /// called again.
+  void release_gates();
 
   /// Forget every pixel, gate and chain (counters survive) and write through
   /// `sink` from now on: the in-memory state died with a failed shard.

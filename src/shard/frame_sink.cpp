@@ -50,6 +50,7 @@ void FrameSink::complete_frame(std::int32_t frame, const Framebuffer& fb) {
                                                   frame))) {
     // The frame never reached disk, so the journal must not declare it
     // durable: a resume re-renders it.
+    ++write_failure_count_;
     if (write_failures_ != nullptr) write_failures_->inc();
     return;
   }

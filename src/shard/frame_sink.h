@@ -63,8 +63,13 @@ class FrameSink {
 
   /// Frame fully assembled: atomically write its TGA (when output is
   /// enabled), then append the frame-complete record — in that order. A
-  /// failed write counts in frames.write_failures and appends no record.
+  /// failed write counts in write_failures() (and frames.write_failures)
+  /// and appends no record.
   void complete_frame(std::int32_t frame, const Framebuffer& fb);
+
+  /// TGA writes that failed so far. Counted here, not only in the registry,
+  /// so frame loss stays visible with metrics off.
+  std::int64_t write_failures() const { return write_failure_count_; }
 
   void checkpoint(const CheckpointRecord& rec);
 
@@ -94,6 +99,7 @@ class FrameSink {
   Counter* frames_committed_ = nullptr;  // endpoint.<rank>.frames_committed
   Counter* frames_completed_ = nullptr;  // endpoint.<rank>.frames_completed
   Counter* write_failures_ = nullptr;    // frames.write_failures
+  std::int64_t write_failure_count_ = 0;
 };
 
 }  // namespace now

@@ -72,6 +72,7 @@ ShardReport FrameShard::report() const {
   r.journal_records = sink_->journal_records();
   r.journal_bytes = sink_->journal_bytes();
   r.journal_ok = sink_->journal_ok();
+  r.frame_write_failures = write_failures_carried_ + sink_->write_failures();
   r.rebuilds = rebuilds_;
   return r;
 }
@@ -133,6 +134,7 @@ void FrameShard::handle_rebuild(Context& ctx) {
   // back verified from disk with their gates re-armed; partially-committed
   // frames are lost and revert to full area — the scheduler performs the
   // matching rollback on its digest mirror and re-covers those cells.
+  write_failures_carried_ += sink_->write_failures();
   sink_.reset();  // release the dead incarnation's journal fd before reading
   std::size_t valid_bytes = 0;
   ShardRebuild rb;

@@ -71,6 +71,8 @@ class FrameShard final : public Actor {
   std::unique_ptr<FrameSink> sink_;
   FrameAssembler assembler_;
   std::int64_t rebuilds_ = 0;
+  /// Failed TGA writes of sinks that earlier rebuilds replaced.
+  std::int64_t write_failures_carried_ = 0;
 };
 
 }  // namespace now

@@ -4,8 +4,13 @@
 // handshake's race handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <string>
+#include <vector>
 
+#include "src/obs/status_server.h"
+#include "src/par/jobqueue.h"
 #include "src/par/master.h"
 #include "src/par/worker.h"
 #include "src/scene/builtin_scenes.h"
@@ -537,6 +542,64 @@ TEST_F(MasterProtocol, StaticModeNeverShrinks) {
   ctx.take(kTagTask, 2);
   master->on_message(ctx, msg_from(1, kTagRequest));
   EXPECT_FALSE(ctx.has(kTagShrink));
+}
+
+/// Every integer value of `"key": N` in a JSON document, in order.
+std::vector<std::int64_t> json_ints(const std::string& doc,
+                                    const std::string& key) {
+  std::vector<std::int64_t> out;
+  const std::string needle = "\"" + key + "\": ";
+  for (std::size_t at = doc.find(needle); at != std::string::npos;
+       at = doc.find(needle, at + 1)) {
+    out.push_back(std::stoll(doc.substr(at + needle.size())));
+  }
+  return out;
+}
+
+TEST_F(MasterProtocol, ServiceStatusCountsTasksQueuedOnShots) {
+  // Service mode queues work per shot: /status's pending_tasks must count
+  // every shot's queue, matching the per-shot queued_tasks it reports.
+  StatusBoard board;
+  MasterConfig config;
+  config.partition.scheme = PartitionScheme::kFrameDivision;
+  config.partition.block_size = 16;  // 32x24 → 4 tiles
+  config.partition.adaptive = false;
+  config.service.enabled = true;
+  config.service.client_count = 1;
+  config.sample_interval_seconds = 1.0;
+  config.status = &board;
+  RenderMaster master(scene_, config);
+  const int client = 3;  // master 0, workers 1-2, client 3
+  RecordingContext ctx(0, 4);
+  master.on_start(ctx);
+
+  std::int64_t peak = 0;
+  const auto tick = [&] {
+    master.on_message(ctx, msg_from(0, kTagSampleTick));
+    const std::string doc = board.latest();
+    const std::vector<std::int64_t> pending = json_ints(doc, "pending_tasks");
+    ASSERT_EQ(pending.size(), 1u) << doc;
+    std::int64_t queued = 0;
+    for (const std::int64_t q : json_ints(doc, "queued_tasks")) queued += q;
+    EXPECT_EQ(pending[0], queued) << doc;
+    peak = std::max(peak, pending[0]);
+  };
+  tick();
+  ShotSubmit sub;
+  sub.tenant = "acme";
+  sub.frame_count = scene_.frame_count();
+  master.on_message(ctx, msg_from(client, kTagShotSubmit,
+                                  encode_shot_submit(sub)));
+  tick();
+  EXPECT_EQ(peak, 4);
+  master.on_message(ctx, msg_from(1, kTagHello));
+  ctx.take(kTagTask, 1);
+  tick();
+  master.on_message(ctx, msg_from(2, kTagHello));
+  ctx.take(kTagTask, 2);
+  tick();
+  EXPECT_NE(board.latest().find("\"pending_tasks\": 2"), std::string::npos)
+      << board.latest();
 }
 
 }  // namespace

@@ -296,39 +296,47 @@ TEST(RenderFarm, WritesFrameFiles) {
 
 TEST(RenderFarm, UnwritableOutputDirCountsFailuresAndJournalsNoFrame) {
   // output_dir's parent does not exist, so every TGA write fails. The frames
-  // still assemble in memory, but none may be declared durable.
+  // still assemble in memory, but none may be declared durable — and the
+  // loss must be reported whether or not the metrics registry is on.
   const AnimatedScene scene = orbit_scene(2, 3, 32, 24);
-  for (const int shards : {1, 2}) {
-    FarmConfig config;
-    config.backend = FarmBackend::kSim;
-    config.workers = 2;
-    config.shards = shards;
-    config.partition.scheme = PartitionScheme::kFrameDivision;
-    config.partition.block_size = 16;
-    config.output_dir = ::testing::TempDir() + "/no_such_parent/frames";
-    config.journal_path = ::testing::TempDir() + "/write_failures_" +
-                          std::to_string(shards) + ".journal";
-    config.journal_fsync = false;
+  for (const bool metrics : {true, false}) {
+    for (const int shards : {1, 2}) {
+      FarmConfig config;
+      config.backend = FarmBackend::kSim;
+      config.workers = 2;
+      config.shards = shards;
+      config.obs.metrics = metrics;
+      config.partition.scheme = PartitionScheme::kFrameDivision;
+      config.partition.block_size = 16;
+      config.output_dir = ::testing::TempDir() + "/no_such_parent/frames";
+      const std::string label = "shards " + std::to_string(shards) +
+                                (metrics ? " metrics on" : " metrics off");
+      config.journal_path = ::testing::TempDir() + "/write_failures_" +
+                            std::to_string(shards) +
+                            (metrics ? "_m" : "_nom") + ".journal";
+      config.journal_fsync = false;
 
-    const FarmResult result = render_farm(scene, config);
-    const std::string label = "shards " + std::to_string(shards);
-    EXPECT_EQ(result.frames.size(),
-              static_cast<std::size_t>(scene.frame_count()))
-        << label;
-    EXPECT_EQ(result.frame_write_failures, scene.frame_count()) << label;
-    EXPECT_EQ(result.metrics.counter("frames.write_failures"),
-              static_cast<std::uint64_t>(scene.frame_count()))
-        << label;
-    // Frame-complete records live in the frame owners' journals.
-    std::vector<std::string> journals = {config.journal_path};
-    if (shards > 1) {
-      journals = {shard_journal_path(config.journal_path, 0),
-                  shard_journal_path(config.journal_path, 1)};
-    }
-    for (const std::string& path : journals) {
-      const JournalReplay replay = replay_journal(path);
-      ASSERT_TRUE(replay.ok) << path << ": " << replay.error;
-      EXPECT_TRUE(replay.frame_digest.empty()) << path;
+      const FarmResult result = render_farm(scene, config);
+      EXPECT_EQ(result.frames.size(),
+                static_cast<std::size_t>(scene.frame_count()))
+          << label;
+      EXPECT_EQ(result.frame_write_failures, scene.frame_count()) << label;
+      EXPECT_EQ(result.metrics.counter("frames.write_failures"),
+                metrics ? static_cast<std::uint64_t>(scene.frame_count())
+                        : 0u)
+          << label;
+      // Frame-complete records live in the frame owners' journals.
+      std::vector<std::string> journals = {config.journal_path};
+      if (shards > 1) {
+        journals = {shard_journal_path(config.journal_path, 0),
+                    shard_journal_path(config.journal_path, 1)};
+      }
+      for (const std::string& path : journals) {
+        const JournalReplay replay = replay_journal(path);
+        ASSERT_TRUE(replay.ok) << label << " " << path << ": "
+                               << replay.error;
+        EXPECT_TRUE(replay.frame_digest.empty()) << label << " " << path;
+      }
     }
   }
 }

@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <stdexcept>
 #include <string>
 
 #include "src/ckpt/recovery.h"
 #include "src/image/image_io.h"
 #include "src/par/jobqueue.h"
+#include "src/par/partition.h"
 #include "src/par/render_farm.h"
 #include "src/par/serial.h"
 #include "src/scene/builtin_scenes.h"
@@ -557,6 +559,122 @@ TEST(Service, MultiSceneShots) {
     const AnimatedScene& scene = shot.summary.scene_id == 0 ? primary : extra;
     expect_shot_matches(shot, scene, config.coherence.trace,
                         shot.summary.label);
+  }
+}
+
+/// One task.assign decision: which task, which frames, and the region the
+/// task id names in the partition.
+struct Assignment {
+  std::int64_t task = -1;
+  std::int64_t first_frame = 0;
+  std::int64_t frames = 0;
+  PixelRect region;
+  bool operator==(const Assignment& o) const {
+    return task == o.task && first_frame == o.first_frame &&
+           frames == o.frames && region.x0 == o.region.x0 &&
+           region.y0 == o.region.y0 && region.width == o.region.width &&
+           region.height == o.region.height;
+  }
+};
+
+std::int64_t trace_arg(const TraceEvent& e, const std::string& key) {
+  for (const TraceEvent::Arg& a : e.args) {
+    if (key == a.key) return a.value;
+  }
+  ADD_FAILURE() << e.name << " has no arg " << key;
+  return -1;
+}
+
+/// The ordered task.assign instants of a traced run. The instant carries no
+/// region, so each task's region is looked up in `partition` by task id and
+/// checked against the pixel count the workers actually rendered for it.
+std::vector<Assignment> assignments(const FarmResult& result,
+                                    const std::vector<RenderTask>& partition) {
+  std::map<std::int64_t, std::int64_t> rendered_area;  // task → pixels
+  std::map<int, std::int64_t> open_task;               // rank → task
+  for (const TraceEvent& e : result.trace_events) {
+    if (std::string(e.name) != "frame.render") continue;
+    if (e.phase == TraceEvent::Phase::kBegin) {
+      open_task[e.rank] = trace_arg(e, "task");
+    } else if (e.phase == TraceEvent::Phase::kEnd) {
+      rendered_area[open_task[e.rank]] = trace_arg(e, "pixels_total");
+    }
+  }
+  std::vector<Assignment> out;
+  for (const TraceEvent& e : result.trace_events) {
+    if (std::string(e.name) != "task.assign") continue;
+    Assignment a;
+    a.task = trace_arg(e, "task");
+    a.first_frame = trace_arg(e, "first_frame");
+    a.frames = trace_arg(e, "frames");
+    if (a.task < 0 || a.task >= static_cast<std::int64_t>(partition.size())) {
+      ADD_FAILURE() << "task " << a.task << " is not an initial task";
+      continue;
+    }
+    a.region = partition[a.task].region;
+    EXPECT_EQ(rendered_area[a.task], a.region.area()) << "task " << a.task;
+    out.push_back(a);
+  }
+  return out;
+}
+
+TEST(Service, ClassicRunEqualsOneShotService) {
+  // A classic run is the one-built-in-shot case of the scheduler, so a
+  // service run whose one client submits the whole animation as one shot
+  // (weight 1, no quota) must assign the same tasks in the same order and
+  // render the same bytes. Adaptive splits are off so grant timing cannot
+  // reorder work.
+  const AnimatedScene scene = orbit_scene(3, 8, 48, 36);
+  for (const PartitionScheme scheme :
+       {PartitionScheme::kSequenceDivision, PartitionScheme::kFrameDivision,
+        PartitionScheme::kHybrid}) {
+    const std::string label = to_string(scheme);
+    FarmConfig classic = service_config(3);
+    classic.service.enabled = false;
+    classic.partition.scheme = scheme;
+    classic.partition.adaptive = false;
+    classic.partition.hybrid_frames = 3;
+    classic.obs.trace = true;
+    FarmConfig service = classic;
+    service.service.enabled = true;
+    ClientScript script;
+    script.actions.push_back(
+        submit_at(0.0, "solo", 1.0, 0, 0, scene.frame_count()));
+    service.service.clients.push_back(script);
+
+    const FarmResult c = render_farm(scene, classic);
+    const FarmResult s = render_farm(scene, service);
+    ASSERT_EQ(s.shots.size(), 1u) << label;
+    EXPECT_EQ(s.shots[0].summary.phase, ShotPhase::kDone) << label;
+    EXPECT_TRUE(c.shots.empty()) << label;  // the built-in shot is no shot
+    ASSERT_EQ(c.frames.size(), s.shots[0].frames.size()) << label;
+    for (std::size_t f = 0; f < c.frames.size(); ++f) {
+      EXPECT_EQ(c.frames[f], s.shots[0].frames[f]) << label << " frame " << f;
+    }
+
+    // The partition the task ids index, camera cuts included.
+    PartitionConfig partition = classic.partition;
+    if (scheme == PartitionScheme::kSequenceDivision) {
+      for (const AnimatedScene::Shot& cut : scene.split_shots()) {
+        if (cut.first_frame > 0) {
+          partition.sequence_cuts.push_back(cut.first_frame);
+        }
+      }
+    }
+    const std::vector<RenderTask> tasks =
+        make_initial_tasks(partition, scene.width(), scene.height(),
+                           scene.frame_count(), 3);
+    const std::vector<Assignment> ca = assignments(c, tasks);
+    const std::vector<Assignment> sa = assignments(s, tasks);
+    EXPECT_EQ(ca.size(), tasks.size()) << label;
+    ASSERT_EQ(ca.size(), sa.size()) << label;
+    for (std::size_t i = 0; i < ca.size(); ++i) {
+      EXPECT_TRUE(ca[i] == sa[i])
+          << label << " assignment " << i << ": classic task " << ca[i].task
+          << " frames " << ca[i].first_frame << "+" << ca[i].frames
+          << ", service task " << sa[i].task << " frames "
+          << sa[i].first_frame << "+" << sa[i].frames;
+    }
   }
 }
 

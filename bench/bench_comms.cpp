@@ -8,8 +8,8 @@
 // cost proportional to *change*. This bench sweeps scenes from near-static
 // to a mid-sequence camera cut, prices both codecs in wire bytes and
 // simulated Ethernet time, and then holds the hard gate: final frames must
-// be byte-identical to a serial render on every backend — pipelined or not,
-// across a resume, and under fault injection. Exit code is non-zero if any
+// be byte-identical to a serial render on every backend and codec, across a
+// resume, and under fault injection. Exit code is non-zero if any
 // identity check (or the headline compression ratio) fails.
 #include <sys/stat.h>
 
@@ -156,36 +156,27 @@ void sweep(const AnimatedScene& scene, const std::string& label,
   }
 }
 
-// -- Part 2: backend identity + pipelining wall clock -----------------------
+// -- Part 2: backend identity + wall clock ----------------------------------
 
 void backend_matrix(const AnimatedScene& scene,
                     const std::vector<Framebuffer>& ref) {
-  std::printf("\n%-10s %-8s %-10s %12s   identical\n", "backend", "codec",
-              "pipeline", "wall");
-  bench::print_rule(56);
+  std::printf("\n%-10s %-8s %12s   identical\n", "backend", "codec", "wall");
+  bench::print_rule(45);
   for (const FarmBackend backend :
        {FarmBackend::kSim, FarmBackend::kThreads, FarmBackend::kTcp}) {
     for (const FrameCodec codec : {FrameCodec::kRaw, FrameCodec::kDelta}) {
-      for (const bool pipeline : {false, true}) {
-        // The sim always sends inline; skip its redundant pipelined leg.
-        if (backend == FarmBackend::kSim && pipeline) continue;
-        FarmConfig config = comms_config(backend, codec);
-        config.pipeline = pipeline;
-        const auto t0 = std::chrono::steady_clock::now();
-        const FarmResult r = render_farm(scene, config);
-        const double wall = wall_seconds(t0);
-        const bool same = frames_equal(r.frames, ref);
-        const std::string label = std::string(to_string(backend)) + "/" +
-                                  to_string(codec) + "/" +
-                                  (pipeline ? "piped" : "inline");
-        check(same, label + ": frames differ from the serial reference");
-        std::printf("%-10s %-8s %-10s %11.3fs   %s\n", to_string(backend),
-                    to_string(codec), pipeline ? "on" : "off", wall,
-                    same ? "yes" : "NO");
-        bench::bench_registry()
-            .gauge("identity." + label + ".wall_seconds")
-            .set(wall);
-      }
+      const auto t0 = std::chrono::steady_clock::now();
+      const FarmResult r = render_farm(scene, comms_config(backend, codec));
+      const double wall = wall_seconds(t0);
+      const bool same = frames_equal(r.frames, ref);
+      const std::string label =
+          std::string(to_string(backend)) + "/" + to_string(codec);
+      check(same, label + ": frames differ from the serial reference");
+      std::printf("%-10s %-8s %11.3fs   %s\n", to_string(backend),
+                  to_string(codec), wall, same ? "yes" : "NO");
+      bench::bench_registry()
+          .gauge("identity." + label + ".wall_seconds")
+          .set(wall);
     }
   }
 }

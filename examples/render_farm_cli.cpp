@@ -4,7 +4,7 @@
 //   $ ./render_farm_cli scene.scene [--backend sim|threads|tcp]
 //        [--scheme seq|frame|hybrid] [--workers N] [--speeds a,b,c]
 //        [--threads N] [--block N] [--no-coherence] [--out DIR]
-//        [--frame-codec raw|delta] [--no-pipeline]
+//        [--frame-codec raw|delta]
 //        [--journal FILE] [--resume] [--speculate] [--shards N]
 //        [--trace-out FILE] [--metrics-out FILE] [--report]
 //        [--status-port P] [--sample-interval S] [--flight-recorder [DIR]]
@@ -35,10 +35,8 @@
 // Frame transport: --frame-codec delta (the default) sends incremental
 // frames as value-diffed sparse runs in a compressed, CRC-checked envelope;
 // raw sends the uncompressed payloads of earlier versions. Final frames are
-// byte-identical either way — only wire bytes change. --no-pipeline
-// disables the per-worker sender thread that overlaps each frame's
-// encode+send with the next frame's render (threads/tcp backends only; the
-// sim always sends inline).
+// byte-identical either way — only wire bytes change. Workers encode and
+// send each frame inline on every backend.
 //
 // Crash recovery: --journal appends a crash-consistent record of every
 // committed region-frame (fsync'd, CRC-framed) alongside atomically-renamed
@@ -306,8 +304,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown frame codec '%s'\n", v.c_str());
         return 2;
       }
-    } else if (arg == "--no-pipeline") {
-      config.pipeline = false;
     } else if (arg == "--out" && i + 1 < argc) {
       out_dir = argv[++i];
     } else if (arg == "--journal" && i + 1 < argc) {

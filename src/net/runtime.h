@@ -70,7 +70,8 @@ class Actor {
   virtual void on_message(Context& ctx, const Message& msg) = 0;
   /// Called exactly once per actor after its message loop ends and before
   /// its Context dies — the only safe place to join helper threads that
-  /// still hold the Context (e.g. a worker's send pipeline). Note the loop
+  /// still hold the Context, or to release memory the actor no longer needs
+  /// (the master frees its scheduling bookkeeping here). Note the loop
   /// can end without any preceding callback on this actor, so cleanup must
   /// not live in a message handler. Default: nothing.
   virtual void on_shutdown(Context& ctx) { (void)ctx; }

@@ -465,11 +465,6 @@ FarmResult render_farm(const AnimatedScene& scene, const FarmConfig& config) {
   worker_config.cost = config.cost;
   worker_config.sparse_returns = config.sparse_returns;
   worker_config.frame_codec = config.frame_codec;
-  // The sim runtime is sequential and its contexts are not thread-safe, so
-  // it always sends inline; the codec still applies (and changes simulated
-  // Ethernet transmit times, since the sim charges by payload size).
-  worker_config.pipeline =
-      config.pipeline && config.backend != FarmBackend::kSim;
   worker_config.tracer = &tracer;
   worker_config.metrics = &registry;
   worker_config.shards = shard_map;

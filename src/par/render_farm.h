@@ -100,10 +100,6 @@ struct FarmConfig {
   /// restarts stay dense key frames); final frames are byte-identical to
   /// kRaw on every backend, only the wire bytes change.
   FrameCodec frame_codec = FrameCodec::kDelta;
-  /// Overlap each frame's encode+send with the next frame's render on a
-  /// dedicated per-worker sender thread. Wall-clock backends only; the sim
-  /// always sends inline (its contexts are single-threaded by design).
-  bool pipeline = true;
   /// Deterministic fault schedule injected into the chosen runtime (worker
   /// ranks are 1-based; rank 0 is the master and cannot fault). Slowdown
   /// events require kSim; crash events require fault.enabled, or the run

@@ -4,23 +4,10 @@
 #include <cassert>
 
 namespace now {
-namespace {
-
-SendPipelineOptions pipeline_options(const WorkerConfig& config) {
-  SendPipelineOptions opts;
-  opts.codec = config.frame_codec;
-  opts.threaded = config.pipeline;
-  opts.tracer = config.tracer;
-  opts.metrics = config.metrics;
-  opts.shards = config.shards;
-  return opts;
-}
-
-}  // namespace
 
 RenderWorker::RenderWorker(const AnimatedScene& scene,
                            const WorkerConfig& config)
-    : scene_(scene), config_(config), pipeline_(pipeline_options(config)) {
+    : scene_(scene), config_(config) {
   scenes_.push_back(&scene_);
   for (const AnimatedScene* extra : config_.extra_scenes) {
     assert(extra != nullptr);
@@ -34,20 +21,16 @@ RenderWorker::RenderWorker(const AnimatedScene& scene,
         "worker.frame_seconds", Histogram::default_seconds_bounds());
     chunk_seconds_hist_ = &config_.metrics->histogram(
         "worker.chunk_seconds", Histogram::default_seconds_bounds());
+    bytes_raw_ = &config_.metrics->counter("net.frame_bytes_raw");
+    bytes_wire_ = &config_.metrics->counter("net.frame_bytes_wire");
+    key_frames_ = &config_.metrics->counter("net.key_frames");
+    delta_frames_ = &config_.metrics->counter("net.delta_frames");
+    result_bytes_ = &config_.metrics->histogram(
+        "net.frame_result_bytes", Histogram::default_bytes_bounds());
   }
 }
 
-void RenderWorker::on_start(Context& ctx) {
-  pipeline_.send_control(ctx, kTagHello, {});
-}
-
-void RenderWorker::on_shutdown(Context& ctx) {
-  (void)ctx;
-  // Joins the sender thread while the Context is still alive; anything left
-  // in the queue is a duplicate by construction (the master only stops the
-  // farm once every pixel is committed).
-  pipeline_.shutdown();
-}
+void RenderWorker::on_start(Context& ctx) { ctx.send(0, kTagHello, {}); }
 
 void RenderWorker::on_message(Context& ctx, const Message& msg) {
   switch (msg.tag) {
@@ -66,7 +49,7 @@ void RenderWorker::on_message(Context& ctx, const Message& msg) {
       } else if (ok && task_->task_id != task.task_id) {
         TaskNack nack;
         nack.task_id = task.task_id;
-        pipeline_.send_control(ctx, kTagTaskNack, encode_task_nack(nack));
+        ctx.send(0, kTagTaskNack, encode_task_nack(nack));
       }
       break;
     }
@@ -81,22 +64,19 @@ void RenderWorker::on_message(Context& ctx, const Message& msg) {
       break;
     }
     case kTagPing:
-      pipeline_.send_control(ctx, kTagPong, {});
+      ctx.send(0, kTagPong, {});
       break;
     case kTagStop:
       break;  // the runtime winds down after the master's stop()
     case kTagRejoin:
       // The runtime restarted this rank's process (elastic membership): all
       // in-memory state — current task, coherence grid, framebuffer, and the
-      // old process's outbound queue — died with it. Drop anything still
-      // pending in the pipeline (the real process's buffers are gone) and
-      // announce ourselves like a fresh worker; the next task's first frame
-      // is a dense key frame, as always.
-      pipeline_.discard_pending();
+      // previous frame — died with it. Announce ourselves like a fresh
+      // worker; the next task's first frame is a dense key frame, as always.
       task_.reset();
       renderer_.reset();
       prev_region_.clear();
-      pipeline_.send_control(ctx, kTagHello, {});
+      ctx.send(0, kTagHello, {});
       break;
     default:
       assert(false && "worker received unexpected tag");
@@ -134,7 +114,7 @@ void RenderWorker::render_next_frame(Context& ctx) {
     task_.reset();
     renderer_.reset();
     ++report_.tasks_shrunk_away;
-    pipeline_.send_control(ctx, kTagRequest, {});
+    ctx.send(0, kTagRequest, {});
     return;
   }
 
@@ -237,7 +217,7 @@ void RenderWorker::render_next_frame(Context& ctx) {
     }
     out.payload = make_sparse_payload(fb_, region, changed);
   }
-  pipeline_.send_frame(ctx, std::move(out));
+  send_frame(ctx, out);
 
   ++report_.frames_rendered;
   report_.peak_mark_bytes = std::max(
@@ -251,7 +231,7 @@ void RenderWorker::render_next_frame(Context& ctx) {
     task_.reset();
     renderer_.reset();
     ++report_.tasks_completed;
-    pipeline_.send_control(ctx, kTagRequest, {});
+    ctx.send(0, kTagRequest, {});
   } else {
     ctx.send(ctx.rank(), kTagContinue, {});
   }
@@ -272,7 +252,38 @@ void RenderWorker::handle_shrink(Context& ctx, const ShrinkRequest& req) {
     end_frame_ = std::min(end_frame_, honored);
     ack.honored_end_frame = end_frame_;
   }
-  pipeline_.send_control(ctx, kTagShrinkAck, encode_shrink_ack(ack));
+  ctx.send(0, kTagShrinkAck, encode_shrink_ack(ack));
+}
+
+void RenderWorker::send_frame(Context& ctx, const FrameResult& result) {
+  const double start = ctx.now();
+  std::string encoded = encode_frame_result(result, config_.frame_codec);
+  // "Raw" is what this frame would have cost on the wire without the codec:
+  // the exact uncompressed payload encoding. The wire counter is what it
+  // actually cost; the ratio is the codec's whole value proposition.
+  if (bytes_raw_ != nullptr) {
+    bytes_raw_->inc(static_cast<std::uint64_t>(encoded_size(result.payload)));
+    bytes_wire_->inc(static_cast<std::uint64_t>(encoded.size()));
+    (result.key_frame() ? key_frames_ : delta_frames_)->inc();
+    result_bytes_->observe(static_cast<double>(encoded.size()));
+  }
+  if (config_.tracer != nullptr) {
+    config_.tracer->complete(
+        ctx.rank(), "net", "net.send_pipeline", start, ctx.now() - start,
+        {{"frame", result.frame},
+         {"task", result.task_id},
+         {"key", result.key_frame() ? 1 : 0},
+         {"bytes", static_cast<std::int64_t>(encoded.size())}});
+    if (result.trace_ctx != 0) {
+      // Step 2 of the frame's flow chain: result encoded and on the wire.
+      config_.tracer->flow_step(
+          ctx.rank(), trace_flow_id(result.trace_ctx, result.frame),
+          ctx.now(),
+          {{"task", result.task_id}, {"frame", result.frame}, {"step", 2}});
+    }
+  }
+  ctx.send(config_.shards.owner_rank(result.frame), kTagFrameResult,
+           std::move(encoded));
 }
 
 }  // namespace now

@@ -7,7 +7,9 @@
 // control traffic (shrink requests) interleaves between frames.
 //
 // Incremental frames are returned as sparse run-length payloads carrying
-// only the recomputed pixels; full renders go back dense.
+// only the recomputed pixels; full renders go back dense. Every backend
+// encodes and sends each result on the actor thread before the next frame
+// renders, as the paper's slaves do.
 #pragma once
 
 #include <memory>
@@ -20,7 +22,7 @@
 #include "src/obs/metrics.h"
 #include "src/par/cost_model.h"
 #include "src/par/protocol.h"
-#include "src/par/send_pipeline.h"
+#include "src/shard/ownership.h"
 #include "src/scene/animated_scene.h"
 
 namespace now {
@@ -36,14 +38,12 @@ struct WorkerConfig {
   /// compresses the payload; the master reconstructs against its committed
   /// predecessor, so final frames are byte-identical either way.
   FrameCodec frame_codec = FrameCodec::kRaw;
-  /// Encode + send frame t on a dedicated sender thread while frame t+1
-  /// renders. Requires a wall-clock runtime (sim Contexts are not
-  /// thread-safe); leave false there and sends stay inline.
-  bool pipeline = false;
   /// Per-frame render spans (cat "frame") on this worker's timeline; the
   /// utilization report derives busy time from them. Null disables.
   EventTracer* tracer = nullptr;
-  /// Sink for worker.frame_seconds / net.frame_result_bytes histograms.
+  /// Sink for worker.frame_seconds / net.frame_result_bytes histograms and
+  /// the net.frame_bytes_raw / net.frame_bytes_wire / net.key_frames /
+  /// net.delta_frames counters.
   MetricsRegistry* metrics = nullptr;
   /// Frame ownership map: results go to owner_rank(frame), and the frame
   /// right after an ownership boundary is promoted to a dense key frame so
@@ -80,7 +80,6 @@ class RenderWorker final : public Actor {
 
   void on_start(Context& ctx) override;
   void on_message(Context& ctx, const Message& msg) override;
-  void on_shutdown(Context& ctx) override;
 
   const WorkerReport& report() const { return report_; }
 
@@ -88,12 +87,12 @@ class RenderWorker final : public Actor {
   void start_task(Context& ctx, const RenderTask& task);
   void render_next_frame(Context& ctx);
   void handle_shrink(Context& ctx, const ShrinkRequest& req);
+  void send_frame(Context& ctx, const FrameResult& result);
 
   const AnimatedScene& scene_;
   /// Scene table: entry 0 is scene_, the rest are config_.extra_scenes.
   std::vector<const AnimatedScene*> scenes_;
   WorkerConfig config_;
-  SendPipeline pipeline_;
 
   std::optional<RenderTask> task_;
   std::unique_ptr<CoherentRenderer> renderer_;
@@ -107,6 +106,11 @@ class RenderWorker final : public Actor {
   // Cached instruments: one pointer chase per frame, no name lookups.
   Histogram* frame_seconds_hist_ = nullptr;
   Histogram* chunk_seconds_hist_ = nullptr;
+  Counter* bytes_raw_ = nullptr;
+  Counter* bytes_wire_ = nullptr;
+  Counter* key_frames_ = nullptr;
+  Counter* delta_frames_ = nullptr;
+  Histogram* result_bytes_ = nullptr;
 
   WorkerReport report_;
 };

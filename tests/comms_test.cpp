@@ -1,7 +1,7 @@
 // Delta frame transport, end to end: raw and delta codecs must assemble
-// byte-identical animations on every backend — pipelined or inline, under
-// message drops, duplicated deliveries, and mid-sequence worker death (which
-// forces the replacement task to restart from a dense key frame).
+// byte-identical animations on every backend, under message drops,
+// duplicated deliveries, and mid-sequence worker death (which forces the
+// replacement task to restart from a dense key frame).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -70,22 +70,16 @@ TEST(DeltaTransport, SimRawAndDeltaAssembleIdenticalFramesAndDeltaIsSmaller) {
             raw.metrics.gauge("sim.ethernet_busy_seconds"));
 }
 
-TEST(DeltaTransport, PipelinedMatchesSequentialOnWallClockBackends) {
+TEST(DeltaTransport, WallClockBackendsMatchSerialReference) {
   const AnimatedScene scene = orbit_scene(3, 8, 48, 36);
   const auto ref = reference_frames(scene, TraceOptions{});
   for (const FarmBackend backend :
        {FarmBackend::kThreads, FarmBackend::kTcp}) {
     for (const FrameCodec codec : {FrameCodec::kRaw, FrameCodec::kDelta}) {
-      FarmConfig piped = base_config(backend, codec);
-      piped.pipeline = true;
-      FarmConfig inline_send = base_config(backend, codec);
-      inline_send.pipeline = false;
       const std::string label = std::string(to_string(backend)) + "/" +
                                 to_string(codec);
-      expect_frames_equal(render_farm(scene, piped).frames, ref,
-                          label + "/pipelined");
-      expect_frames_equal(render_farm(scene, inline_send).frames, ref,
-                          label + "/inline");
+      expect_frames_equal(
+          render_farm(scene, base_config(backend, codec)).frames, ref, label);
     }
   }
 }
@@ -129,15 +123,13 @@ TEST(DeltaTransport, WorkerDeathMidSequenceForcesKeyFrameRestart) {
   EXPECT_EQ(result.metrics.counter("net.frame_decode_failures"), 0u);
 }
 
-TEST(DeltaTransport, PipelinedWallClockRunSurvivesWorkerDeathAndRejoin) {
+TEST(DeltaTransport, WallClockRunSurvivesWorkerDeathAndRejoin) {
   const AnimatedScene scene = orbit_scene(2, 9, 40, 30);
   const auto ref = reference_frames(scene, TraceOptions{});
   for (const FarmBackend backend :
        {FarmBackend::kThreads, FarmBackend::kTcp}) {
     FarmConfig config = base_config(backend, FrameCodec::kDelta);
-    config.pipeline = true;
-    // The revived process must discard its dead predecessor's queued frames
-    // and re-Hello; its next task starts from a key frame.
+    // The revived process re-Hellos; its next task starts from a key frame.
     config.fault_plan.events.push_back(FaultPlan::crash_after_frames(1, 2));
     config.fault_plan.events.push_back(
         FaultPlan::rejoin_at(1, backend == FarmBackend::kTcp ? 2.0 : 1.0));

@@ -457,6 +457,20 @@ FarmConfig wall_fault_config(FarmBackend backend) {
   return config;
 }
 
+// The crash tests kill rank 1 after its first result, so rank 1 must hold
+// work then. Its actor thread can start late under load, though: the
+// survivors then either take all three tasks or finish theirs and steal
+// rank 1's down to the single frame it renders, and rank 1 dies owing
+// nothing. Every message into the survivors during the first 0.25 s
+// arrives 0.25 s late, so neither can finish a task and go idle before
+// rank 1 has claimed its task and rendered its first frame.
+void hold_back_survivors(FarmConfig* config) {
+  for (const int rank : {2, 3}) {
+    config->fault_plan.events.push_back(
+        FaultPlan::delay_window(rank, 0.0, 0.25, 0.25));
+  }
+}
+
 TEST(FaultThreads, WorkerCrashIsSurvived) {
   const AnimatedScene scene = orbit_scene(2, 9, 40, 30);
   FarmConfig config = wall_fault_config(FarmBackend::kThreads);
@@ -464,6 +478,7 @@ TEST(FaultThreads, WorkerCrashIsSurvived) {
   // 3-frame task and can never ack a shrink, so the run cannot complete
   // without the master detecting the death and reclaiming the remainder
   // (after frame 2+, a lucky adaptive steal could make recovery unneeded).
+  hold_back_survivors(&config);
   config.fault_plan.events.push_back(FaultPlan::crash_after_frames(1, 1));
 
   const FarmResult result = render_farm(scene, config);
@@ -478,6 +493,7 @@ TEST(FaultTcp, WorkerCrashSeversSocketsAndIsSurvived) {
   const AnimatedScene scene = orbit_scene(2, 9, 40, 30);
   FarmConfig config = wall_fault_config(FarmBackend::kTcp);
   // After the first result, for the same reason as the kThreads test.
+  hold_back_survivors(&config);
   config.fault_plan.events.push_back(FaultPlan::crash_after_frames(1, 1));
 
   const FarmResult result = render_farm(scene, config);

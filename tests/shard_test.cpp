@@ -467,6 +467,14 @@ TEST(ShardFault, TcpWorkerCrashSeversMeshSocketsAndIsSurvived) {
   config.fault.lease_base_seconds = 0.4;
   config.fault.lease_per_frame_seconds = 0.05;
   config.fault.ping_grace_seconds = 0.25;
+  // Rank 1 must still owe work when it dies after its first result, even
+  // if its thread starts late: messages into the survivors during the
+  // first 0.25 s arrive 0.25 s late, so neither can finish its task and
+  // take or steal rank 1's first (as in fault_test's crash tests).
+  for (const int rank : {2, 3}) {
+    config.fault_plan.events.push_back(
+        FaultPlan::delay_window(rank, 0.0, 0.25, 0.25));
+  }
   config.fault_plan.events.push_back(FaultPlan::crash_after_frames(1, 1));
 
   const FarmResult result = render_farm(scene, config);

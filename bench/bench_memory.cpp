@@ -7,9 +7,11 @@
 //
 // Measures the per-worker high-water mark of coherence mark storage under
 // sequence division (full-frame tracking) vs frame division at several
-// block sizes, plus a resolution sweep showing storage ∝ tracked area.
+// block sizes. Exits non-zero unless the peak strictly falls from sequence
+// division through each smaller frame-division block.
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/par/render_farm.h"
@@ -39,18 +41,20 @@ int run(bool quick) {
               "tracked px", "peak marks MB", "total");
   bench::print_rule(80);
 
+  std::vector<std::int64_t> peaks;
   const auto run_config = [&](const char* label, PartitionScheme scheme,
                               int block, std::int64_t tracked_pixels) {
     FarmConfig config;
     config.backend = FarmBackend::kSim;
     config.worker_speeds = bench::paper_cluster_speeds();
     config.partition.scheme = scheme;
-    config.partition.block_size = block;
+    if (block > 0) config.partition.block_size = block;
     const FarmResult r = render_farm(scene, config);
+    peaks.push_back(peak_worker_bytes(r));
     std::printf("%-34s %14s %16.2f %10s\n", label,
                 bench::with_commas(
                     static_cast<std::uint64_t>(tracked_pixels)).c_str(),
-                static_cast<double>(peak_worker_bytes(r)) / 1e6,
+                static_cast<double>(peaks.back()) / 1e6,
                 bench::hms(r.elapsed_seconds).c_str());
   };
 
@@ -76,6 +80,16 @@ int run(bool quick) {
   std::printf("\npeak mark storage tracks the subarea each worker is "
               "responsible for — the\npaper's motivation for frame division "
               "on memory-constrained workstations\n");
+  for (std::size_t i = 1; i < peaks.size(); ++i) {
+    if (peaks[i] >= peaks[i - 1]) {
+      std::printf("FAIL: peak mark bytes %lld at row %zu do not fall below "
+                  "%lld at row %zu\n",
+                  static_cast<long long>(peaks[i]), i + 1,
+                  static_cast<long long>(peaks[i - 1]), i);
+      return 1;
+    }
+  }
+  std::printf("gate: peak mark bytes strictly fall with the tracked area\n");
   return 0;
 }
 

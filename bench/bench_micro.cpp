@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "src/core/coherence_grid.h"
+#include "src/core/change_detector.h"
+#include "src/core/coherent_renderer.h"
+#include "src/core/ray_recorder.h"
 #include "src/geom/cylinder.h"
 #include "src/geom/overlap.h"
 #include "src/geom/sphere.h"
@@ -134,38 +136,133 @@ void BM_AccelClosestHit(benchmark::State& state) {
 }
 BENCHMARK(BM_AccelClosestHit);
 
-void BM_CoherenceMark(benchmark::State& state) {
-  const VoxelGrid vg({{-2, -2, -2}, {2, 2, 2}}, 32, 32, 32);
-  CoherenceGrid grid(vg, {0, 0, 320, 240});
-  Rng rng(5);
-  int x = 0, y = 0;
-  for (auto _ : state) {
-    grid.mark(static_cast<int>(rng.next_below(32 * 32 * 32)), x, y);
-    x = (x + 7) % 320;
-    y = (y + 3) % 240;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CoherenceMark);
+/// Frame 0 of one paper-style 80x80 Newton tile (the farm's 320x240 frame
+/// division), recorded once: every ray segment the tracer reported, in
+/// shading order, plus the frame 0 -> 1 dirty voxels of the tile's
+/// coherence grid.
+struct NewtonTile {
+  struct Segment {
+    int px;
+    int py;
+    Ray ray;
+    double t_end;
+    RayKind kind;
+  };
+  class Log final : public RayListener {
+   public:
+    explicit Log(std::vector<Segment>* out) : out_(out) {}
+    void on_segment(int px, int py, const Ray& ray, double t_end,
+                    RayKind kind) override {
+      out_->push_back({px, py, ray, t_end, kind});
+    }
 
-void BM_CoherenceCollect(benchmark::State& state) {
-  const VoxelGrid vg({{-2, -2, -2}, {2, 2, 2}}, 16, 16, 16);
-  CoherenceGrid grid(vg, {0, 0, 320, 240});
-  Rng rng(6);
-  for (int i = 0; i < 200000; ++i) {
-    grid.mark(static_cast<int>(rng.next_below(16 * 16 * 16)),
-              static_cast<int>(rng.next_below(320)),
-              static_cast<int>(rng.next_below(240)));
+   private:
+    std::vector<Segment>* out_;
+  };
+
+  NewtonTile() {
+    // The whole 45-frame animation, so the coherence grid spans the same
+    // extent (and has the same cells) as a farm render's.
+    const AnimatedScene scene = newton_cradle_scene();
+    const CoherenceOptions defaults;
+    voxels = VoxelGrid::heuristic(animation_extent(scene),
+                                  scene.object_count(), defaults.grid_density,
+                                  defaults.grid_max_axis);
+    const World world = scene.world_at(0);
+    const UniformGridAccelerator accel(world);
+    Tracer tracer(world, accel);
+    Log log(&segments);
+    tracer.set_listener(&log);
+    Framebuffer fb(scene.width(), scene.height());
+    render_region(&tracer, &fb, region);
+    dirty = find_dirty_voxels(voxels, world, scene.world_at(1),
+                              scene.changed_objects(0, 1))
+                .cells;
   }
-  std::vector<std::uint32_t> cells;
-  for (std::uint32_t c = 0; c < 16 * 16 * 16; c += 7) cells.push_back(c);
-  for (auto _ : state) {
-    PixelMask mask(320, 240);
-    grid.collect_pixels(cells, &mask);
-    benchmark::DoNotOptimize(mask.count());
+
+  /// Replays the recorded segments through `recorder`; returns the voxels
+  /// visited.
+  std::uint64_t replay(RayRecorder* recorder) const {
+    for (const Segment& s : segments) {
+      recorder->on_segment(s.px, s.py, s.ray, s.t_end, s.kind);
+    }
+    return recorder->stats().voxels_visited;
   }
+
+  PixelRect region{160, 80, 80, 80};
+  VoxelGrid voxels{Aabb{{0, 0, 0}, {1, 1, 1}}, 1, 1, 1};
+  std::vector<Segment> segments;
+  std::vector<std::uint32_t> dirty;
+};
+
+const NewtonTile& newton_tile() {
+  static const NewtonTile tile;
+  return tile;
 }
-BENCHMARK(BM_CoherenceCollect);
+
+// Marking as a task's first frame pays for it: the tile's frame-0 segments
+// DDA-walked into a fresh store. Items are visited voxels, so the per-item
+// time is the ns per mark perfbench reports as core.ns_per_mark.
+void BM_CoherenceMark(benchmark::State& state) {
+  const NewtonTile& tile = newton_tile();
+  std::uint64_t visited = 0;
+  for (auto _ : state) {
+    CoherenceGrid grid(tile.voxels, tile.region);
+    RayRecorder recorder(&grid);
+    visited += tile.replay(&recorder);
+    benchmark::DoNotOptimize(grid.stats().live_marks);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(visited));
+}
+BENCHMARK(BM_CoherenceMark)->Unit(benchmark::kMicrosecond);
+
+// The DDA walk of the same segments alone, with no store behind it: the
+// floor under BM_CoherenceMark, so the difference is the store's share.
+void BM_CoherenceWalk(benchmark::State& state) {
+  const NewtonTile& tile = newton_tile();
+  std::uint64_t visited = 0;
+  for (auto _ : state) {
+    for (const NewtonTile::Segment& s : tile.segments) {
+      tile.voxels.walk(s.ray, 0.0, mark_limit(s.t_end),
+                       [&](int ix, int iy, int iz, double, double) {
+                         benchmark::DoNotOptimize(
+                             tile.voxels.cell_index(ix, iy, iz));
+                         ++visited;
+                         return true;
+                       });
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(visited));
+  state.counters["voxels_per_segment"] =
+      static_cast<double>(visited) /
+      static_cast<double>(state.iterations() * tile.segments.size());
+}
+BENCHMARK(BM_CoherenceWalk)->Unit(benchmark::kMicrosecond);
+
+// Change detection's lookup: the tile's frame-0 marks against its frame
+// 0 -> 1 dirty voxels, as an incremental frame collects them.
+void BM_CoherenceCollect(benchmark::State& state) {
+  const NewtonTile& tile = newton_tile();
+  CoherenceGrid grid(tile.voxels, tile.region);
+  RayRecorder recorder(&grid);
+  tile.replay(&recorder);
+  PixelMask mask(320, 240);
+  std::vector<std::uint32_t> pixels;
+  for (auto _ : state) {
+    // Clear only what the last pass set, so the mask costs no full sweep.
+    for (const std::uint32_t p : pixels) {
+      mask.set(tile.region.x0 + static_cast<int>(p) % tile.region.width,
+               tile.region.y0 + static_cast<int>(p) / tile.region.width,
+               false);
+    }
+    pixels.clear();
+    grid.collect_pixels(tile.dirty, &mask, &pixels);
+    benchmark::DoNotOptimize(pixels.size());
+  }
+  state.counters["dirty_voxels"] = static_cast<double>(tile.dirty.size());
+  state.counters["pixels"] = static_cast<double>(pixels.size());
+}
+BENCHMARK(BM_CoherenceCollect)->Unit(benchmark::kMicrosecond);
 
 void BM_PixelCodecSparse(benchmark::State& state) {
   Framebuffer fb(320, 240);

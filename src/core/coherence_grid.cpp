@@ -1,97 +1,145 @@
 #include "src/core/coherence_grid.h"
 
-#include <cassert>
+#include <cstring>
 
 namespace now {
 
-CoherenceGrid::CoherenceGrid(const VoxelGrid& grid, const PixelRect& region)
+CoherenceGrid::CoherenceGrid(const VoxelGrid& grid, const PixelRect& region,
+                             int lanes)
     : grid_(grid),
       region_(region),
-      cells_(static_cast<std::size_t>(grid.cell_count())),
-      pixel_epoch_(static_cast<std::size_t>(region.area()), 0),
-      pixel_marks_(static_cast<std::size_t>(region.area()), 0) {
-  stats_.fixed_bytes =
-      static_cast<std::int64_t>(region.area()) * 2 * sizeof(std::uint32_t) +
-      static_cast<std::int64_t>(cells_.size()) * sizeof(std::vector<Mark>);
+      band_pixels_(static_cast<std::uint32_t>(kBandRows * region.width)),
+      slots_(static_cast<std::size_t>(region.area())),
+      bands_(static_cast<std::size_t>((region.height + kBandRows - 1) /
+                                      kBandRows)),
+      lanes_(static_cast<std::size_t>(lanes)),
+      dirty_(static_cast<std::size_t>((grid.cell_count() + 63) / 64), 0) {
+  assert(lanes >= 1);
+  for (Lane& lane : lanes_) {
+    lane.stamp.assign(static_cast<std::size_t>(grid.cell_count()), 0);
+  }
+  fixed_bytes_ = static_cast<std::int64_t>(
+      slots_.size() * sizeof(Slot) + bands_.size() * sizeof(Band) +
+      lanes_.size() * (sizeof(Lane) + lanes_[0].stamp.size() *
+                                          sizeof(std::uint32_t)) +
+      dirty_.size() * sizeof(std::uint64_t));
 }
 
-void CoherenceGrid::mark(int cell, int x, int y) {
+void CoherenceGrid::open_pixel(Lane& lane, std::uint32_t pixel) {
+  lane.pixel = pixel;
+  lane.band = pixel / band_pixels_;
+  if (++lane.serial == 0) {  // serial wrapped: old stamps could collide
+    std::fill(lane.stamp.begin(), lane.stamp.end(), 0);
+    lane.serial = 1;
+  }
+  // Reopened with marks already held: stamp them so they are not added
+  // twice.
+  const Slot& slot = slots_[pixel];
+  const std::uint32_t* cells = bands_[lane.band].arena.data() + slot.off;
+  for (std::uint32_t i = 0; i < slot.len; ++i) {
+    lane.stamp[cells[i]] = lane.serial;
+  }
+}
+
+void CoherenceGrid::begin_pixel(int x, int y, int lane) {
   assert(region_.contains(x, y));
   const std::uint32_t pixel = local_index(x, y);
-  const std::uint32_t epoch = pixel_epoch_[pixel];
-  std::vector<Mark>& list = cells_[cell];
-  // Successive rays of one pixel often pierce the same voxel; skipping the
-  // immediate duplicate removes most of that redundancy for free.
-  if (!list.empty() && list.back().pixel == pixel &&
-      list.back().epoch == epoch) {
-    return;
-  }
-  // Capacity-delta accounting: compaction and reset shrink sizes but never
-  // release capacity, so allocation only ever grows here.
-  const std::size_t before = list.capacity();
-  list.push_back({pixel, epoch});
-  stats_.reserved_marks +=
-      static_cast<std::int64_t>(list.capacity() - before);
-  ++stats_.total_marks;
-  ++stats_.live_marks;
-  ++pixel_marks_[pixel];
-}
-
-void CoherenceGrid::begin_pixel(int x, int y) {
-  const std::uint32_t pixel = local_index(x, y);
-  ++pixel_epoch_[pixel];
-  stats_.live_marks -= pixel_marks_[pixel];
-  pixel_marks_[pixel] = 0;
+  Slot& slot = slots_[pixel];
+  bands_[pixel / band_pixels_].live -= slot.len;
+  slot.len = 0;
+  open_pixel(lanes_[static_cast<std::size_t>(lane)], pixel);
 }
 
 void CoherenceGrid::reset() {
-  for (auto& list : cells_) list.clear();
-  std::fill(pixel_epoch_.begin(), pixel_epoch_.end(), 0);
-  std::fill(pixel_marks_.begin(), pixel_marks_.end(), 0);
-  stats_.live_marks = 0;
-  stats_.total_marks = 0;
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  for (Band& band : bands_) {
+    band.arena.clear();
+    band.live = 0;
+  }
+  for (Lane& lane : lanes_) lane.pixel = kNoPixel;
 }
 
 void CoherenceGrid::collect_pixels(const std::vector<std::uint32_t>& cells,
                                    PixelMask* out,
                                    std::vector<std::uint32_t>* pixels) {
-  for (const std::uint32_t cell : cells) {
-    std::vector<Mark>& list = cells_[cell];
-    std::size_t keep = 0;
-    for (const Mark& m : list) {
-      if (m.epoch != pixel_epoch_[m.pixel]) continue;  // stale: drop
-      list[keep++] = m;
-      const int x = region_.x0 + static_cast<int>(m.pixel) % region_.width;
-      const int y = region_.y0 + static_cast<int>(m.pixel) / region_.width;
-      if (!out->at(x, y)) {
+  if (cells.empty()) return;
+  std::uint64_t* const dirty = dirty_.data();
+  for (const std::uint32_t c : cells) {
+    dirty[c / 64] |= std::uint64_t{1} << (c % 64);
+  }
+  const auto is_dirty = [dirty](std::uint32_t c) {
+    return ((dirty[c / 64] >> (c % 64)) & 1) != 0;
+  };
+  std::uint32_t pixel = 0;
+  for (int row = 0; row < region_.height; ++row) {
+    const std::uint32_t* arena =
+        bands_[static_cast<std::size_t>(row / kBandRows)].arena.data();
+    const int y = region_.y0 + row;
+    for (int x = region_.x0; x < region_.x0 + region_.width; ++x, ++pixel) {
+      const Slot& slot = slots_[pixel];
+      const std::uint32_t* first = arena + slot.off;
+      if (std::any_of(first, first + slot.len, is_dirty) && !out->at(x, y)) {
         out->set(x, y, true);
-        if (pixels != nullptr) pixels->push_back(m.pixel);
+        if (pixels != nullptr) pixels->push_back(pixel);
       }
     }
-    stats_.total_marks -= static_cast<std::int64_t>(list.size() - keep);
-    list.resize(keep);
   }
+  for (const std::uint32_t c : cells) dirty[c / 64] = 0;
 }
 
-void CoherenceGrid::compact_cell(std::vector<Mark>& list) {
-  std::size_t keep = 0;
-  for (const Mark& m : list) {
-    if (m.epoch == pixel_epoch_[m.pixel]) list[keep++] = m;
+void CoherenceGrid::compact_band(std::size_t b) {
+  // Slide the slices down in arena order: each lands at or below where it
+  // was, so the band's buffer is reused in place.
+  std::vector<Slot*> order;
+  const std::size_t end_pixel = std::min(slots_.size(), (b + 1) * band_pixels_);
+  for (std::size_t p = b * band_pixels_; p < end_pixel; ++p) {
+    order.push_back(&slots_[p]);
   }
-  stats_.total_marks -= static_cast<std::int64_t>(list.size() - keep);
-  list.resize(keep);
+  std::sort(order.begin(), order.end(),
+            [](const Slot* a, const Slot* c) { return a->off < c->off; });
+  std::vector<std::uint32_t>& arena = bands_[b].arena;
+  std::uint32_t end = 0;
+  for (Slot* slot : order) {
+    std::memmove(arena.data() + end, arena.data() + slot->off,
+                 slot->len * sizeof(std::uint32_t));
+    slot->off = end;
+    slot->cap = slot->len;
+    end += slot->len;
+  }
+  arena.resize(end);
 }
 
 bool CoherenceGrid::maybe_compact(double stale_fraction) {
-  const std::int64_t stale = stats_.total_marks - stats_.live_marks;
-  if (stats_.total_marks == 0 ||
-      static_cast<double>(stale) <
-          stale_fraction * static_cast<double>(stats_.total_marks)) {
-    return false;
+  bool ran = false;
+  for (std::size_t b = 0; b < bands_.size(); ++b) {
+    const auto used = static_cast<double>(bands_[b].arena.size());
+    const double stale = used - static_cast<double>(bands_[b].live);
+    if (stale > 0 && stale >= stale_fraction * used) {
+      compact_band(b);
+      ran = true;
+    }
   }
-  for (auto& list : cells_) compact_cell(list);
-  ++stats_.compactions;
-  return true;
+  if (ran) ++compactions_;
+  return ran;
+}
+
+std::span<const std::uint32_t> CoherenceGrid::pixel_cells(int x,
+                                                          int y) const {
+  const std::uint32_t pixel = local_index(x, y);
+  const Slot& slot = slots_[pixel];
+  return {bands_[pixel / band_pixels_].arena.data() + slot.off, slot.len};
+}
+
+CoherenceGridStats CoherenceGrid::stats() const {
+  CoherenceGridStats s;
+  for (const Band& band : bands_) {
+    s.live_marks += band.live;
+    s.total_marks += static_cast<std::int64_t>(band.arena.size());
+    s.reserved_marks += static_cast<std::int64_t>(band.arena.capacity());
+  }
+  s.compactions = compactions_;
+  s.fixed_bytes = fixed_bytes_;
+  return s;
 }
 
 }  // namespace now

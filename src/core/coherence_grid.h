@@ -1,5 +1,5 @@
-// CoherenceGrid: the voxel → pixel-list data structure at the heart of the
-// paper's frame-coherence algorithm (Figure 3).
+// CoherenceGrid: the pixel ↔ voxel mark store at the heart of the paper's
+// frame-coherence algorithm (Figure 3).
 //
 // "As rays are fired during the rendering process, the frame coherence
 //  algorithm tracks their paths and marks all of the voxels that they pass
@@ -7,16 +7,27 @@
 //  next frame, all of the pixels whose rays pass through that voxel must be
 //  updated."
 //
-// Marks are retired lazily with per-pixel epochs: when a pixel is about to
-// be recomputed its epoch is bumped, which invalidates every mark it left
-// behind; the new computation re-marks its (possibly different) ray paths.
-// Stale entries are dropped whenever a voxel's list is scanned, plus in a
-// global compaction pass when the stale fraction grows too large. Memory is
+// Storage is pixel-major: each tracked pixel owns a slice of the voxel cells
+// its rays visited (one u32 per cell, deduplicated), and the slices of every
+// kBandRows-row band of the region live in one arena. Recomputing a pixel
+// truncates its slice and re-marks it in place, so no stale entry is ever
+// stored. A slice that outgrows its slot moves to the end of its band's
+// arena; maybe_compact() reclaims the slots left behind. Detection scans
+// the slices in pixel order against a dirty-cell bitset. Memory is
 // proportional to the tracked pixel region — the property that makes frame
 // division cheaper per worker than sequence division (Section 3).
+//
+// Concurrency: marking threads each use their own lane (a per-cell dedup
+// stamp array and the lane's open pixel). Lanes that mark pixels of
+// different bands write disjoint memory, so render threads that own whole
+// bands mark without locks, and each band's arena ends up the same as in a
+// sequential render.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/geom/voxel_grid.h"
@@ -27,76 +38,136 @@ namespace now {
 
 struct CoherenceGridStats {
   std::int64_t live_marks = 0;
-  std::int64_t total_marks = 0;  // live + stale currently stored
+  /// Arena entries in use: live marks plus slots left behind by slices
+  /// that outgrew them and the unused tails of shrunk slots.
+  std::int64_t total_marks = 0;
   std::int64_t compactions = 0;
-  /// Mark slots *allocated* across all cell lists (vector capacities).
-  /// Compaction and reset shrink sizes but keep capacity, so this is the
-  /// memory high-water behavior the allocator actually sees.
+  /// Arena entries *allocated* (vector capacities). Compaction and reset
+  /// keep capacity, so this is the high-water mark the allocator sees.
   std::int64_t reserved_marks = 0;
-  /// Fixed overhead allocated at construction: the per-pixel epoch and
-  /// live-mark arrays plus the cell-list headers.
+  /// Allocated at construction: pixel slots, lane stamps, dirty bitset.
   std::int64_t fixed_bytes = 0;
-  /// Allocated footprint, not live-entry count: stale-but-stored marks and
-  /// grown-but-unused capacity both occupy real memory, and the paper's
-  /// "memory proportional to image area" claim is about the allocation.
+  /// Allocated footprint, not live-entry count: the paper's "memory
+  /// proportional to image area" claim is about the allocation.
   std::int64_t bytes() const {
     return fixed_bytes +
-           reserved_marks * static_cast<std::int64_t>(2 * sizeof(std::uint32_t));
+           reserved_marks * static_cast<std::int64_t>(sizeof(std::uint32_t));
   }
 };
 
 class CoherenceGrid {
  public:
-  /// Track pixels of `region` (a subarea of the full image) against `grid`.
-  CoherenceGrid(const VoxelGrid& grid, const PixelRect& region);
+  /// Region rows per arena band: the unit a render thread owns.
+  static constexpr int kBandRows = 4;
+
+  /// Track pixels of `region` (a subarea of the full image) against `grid`,
+  /// for up to `lanes` concurrently marking threads.
+  CoherenceGrid(const VoxelGrid& grid, const PixelRect& region, int lanes = 1);
 
   const VoxelGrid& grid() const { return grid_; }
   const PixelRect& region() const { return region_; }
 
-  /// Append pixel (x, y) — full-image coordinates, must lie in the region —
-  /// to the pixel list of the given voxel cell.
-  void mark(int cell, int x, int y);
+  /// Add the cell to the slice of pixel (x, y) — full-image coordinates,
+  /// in the region — unless the pixel holds it. Marks of one pixel may be
+  /// interleaved with other pixels' on the same lane; after another lane
+  /// restarts the pixel, mark it only after begin_pixel on this lane.
+  void mark(int cell, int x, int y, int lane = 0);
 
-  /// The pixel is about to be recomputed: retire all marks it left.
-  void begin_pixel(int x, int y);
+  /// The pixel is about to be recomputed: drop its marks and open it on
+  /// `lane` for the new ones.
+  void begin_pixel(int x, int y, int lane = 0);
 
   /// Forget everything (used when a full re-render invalidates all state).
   void reset();
 
-  /// Union of the live pixels of the given voxel cells into `out` (mask in
-  /// full-image coordinates). Scanned lists are compacted in passing.
-  /// When `pixels` is non-null it additionally receives the region-local
-  /// index of every pixel newly set in `out` (deduplicated via the mask, in
-  /// scan order — not sorted); callers that iterate only the dirty pixels
-  /// avoid rescanning the whole region.
+  /// Set in `out` (mask in full-image coordinates) every pixel holding a
+  /// mark in one of the given voxel cells. When `pixels` is non-null it
+  /// additionally receives the region-local index of every pixel newly set
+  /// in `out`, in ascending order; callers that iterate only the dirty
+  /// pixels avoid rescanning the whole region.
   void collect_pixels(const std::vector<std::uint32_t>& cells, PixelMask* out,
                       std::vector<std::uint32_t>* pixels = nullptr);
 
-  /// Drop stale marks everywhere when they exceed `stale_fraction` of all
-  /// stored marks. Returns true if a compaction ran.
+  /// Reclaim, in place, the arena space of every band whose entries not
+  /// holding a live mark reach `stale_fraction` of its entries in use.
+  /// Returns true if any band was compacted.
   bool maybe_compact(double stale_fraction = 0.5);
 
-  const CoherenceGridStats& stats() const { return stats_; }
+  /// The live cells of pixel (x, y), in marking order.
+  std::span<const std::uint32_t> pixel_cells(int x, int y) const;
+
+  CoherenceGridStats stats() const;
 
  private:
-  struct Mark {
-    std::uint32_t pixel;  // region-local index
-    std::uint32_t epoch;
+  static constexpr std::uint32_t kNoPixel = ~std::uint32_t{0};
+
+  /// A pixel's `len` cells at arena[off, off + len), in a slot of `cap`.
+  struct Slot {
+    std::uint32_t off = 0;
+    std::uint32_t len = 0;
+    std::uint32_t cap = 0;
+  };
+  // Cache-line aligned: neighbours are written by different threads.
+  struct alignas(64) Band {
+    std::vector<std::uint32_t> arena;
+    std::int64_t live = 0;
+  };
+  struct alignas(64) Lane {
+    std::vector<std::uint32_t> stamp;  // per cell: serial of its last mark
+    std::uint32_t serial = 0;          // bumped whenever a pixel opens
+    std::uint32_t pixel = kNoPixel;    // open pixel, region-local
+    std::uint32_t band = 0;            // band of the open pixel
   };
 
   std::uint32_t local_index(int x, int y) const {
     return static_cast<std::uint32_t>((y - region_.y0) * region_.width +
                                       (x - region_.x0));
   }
-
-  void compact_cell(std::vector<Mark>& list);
+  void open_pixel(Lane& lane, std::uint32_t pixel);
+  void append(Slot& slot, Band& band, std::uint32_t cell);
+  void compact_band(std::size_t b);
 
   VoxelGrid grid_;
   PixelRect region_;
-  std::vector<std::vector<Mark>> cells_;
-  std::vector<std::uint32_t> pixel_epoch_;  // per region-local pixel
-  std::vector<std::uint32_t> pixel_marks_;  // live marks held per pixel
-  CoherenceGridStats stats_;
+  std::uint32_t band_pixels_;  // pixels per band
+  std::vector<Slot> slots_;    // per region-local pixel
+  std::vector<Band> bands_;
+  std::vector<Lane> lanes_;
+  std::vector<std::uint64_t> dirty_;  // cell bitset, all zero between calls
+  std::int64_t compactions_ = 0;
+  std::int64_t fixed_bytes_ = 0;
 };
+
+inline void CoherenceGrid::mark(int cell, int x, int y, int lane) {
+  assert(region_.contains(x, y));
+  Lane& l = lanes_[static_cast<std::size_t>(lane)];
+  const std::uint32_t pixel = local_index(x, y);
+  if (pixel != l.pixel) open_pixel(l, pixel);
+  std::uint32_t& stamp = l.stamp[static_cast<std::size_t>(cell)];
+  if (stamp == l.serial) return;
+  stamp = l.serial;
+  append(slots_[pixel], bands_[l.band], static_cast<std::uint32_t>(cell));
+}
+
+inline void CoherenceGrid::append(Slot& slot, Band& band, std::uint32_t cell) {
+  ++band.live;
+  if (slot.len < slot.cap) {
+    band.arena[slot.off + slot.len++] = cell;
+    return;
+  }
+  if (slot.off + slot.cap != band.arena.size()) {
+    // Outgrew a slot that is not at the arena's end: move the slice there
+    // and leave the old slot for maybe_compact().
+    const std::uint32_t off = static_cast<std::uint32_t>(band.arena.size());
+    band.arena.resize(off + slot.len);
+    std::copy_n(band.arena.begin() + slot.off, slot.len,
+                band.arena.begin() + off);
+    slot.off = off;
+    slot.cap = slot.len;
+  }
+  band.arena.push_back(cell);
+  ++slot.cap;
+  ++slot.len;
+}
 
 }  // namespace now

@@ -8,11 +8,6 @@ namespace now {
 
 namespace {
 
-/// Rows per parallel render chunk. Fixed (not derived from thread count) so
-/// the chunk decomposition — and therefore the merged mark order — is a pure
-/// function of the region, independent of `threads`.
-constexpr int kChunkRows = 4;
-
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -41,9 +36,11 @@ CoherentRenderer::CoherentRenderer(const AnimatedScene& scene,
           : VoxelGrid::heuristic(animation_extent(scene), scene.object_count(),
                                  options_.grid_density,
                                  options_.grid_max_axis);
-  grid_ = std::make_unique<CoherenceGrid>(voxels, region);
-  recorder_ =
-      std::make_unique<RayRecorder>(grid_.get(), options_.record_shadow_rays);
+  if (options_.enabled) {
+    grid_ = std::make_unique<CoherenceGrid>(voxels, region, threads_);
+    recorder_ = std::make_unique<RayRecorder>(grid_.get(),
+                                              options_.record_shadow_rays);
+  }
   if (options_.metrics != nullptr) {
     metric_full_renders_ = &options_.metrics->counter("coherence.full_renders");
     metric_incremental_renders_ =
@@ -60,7 +57,7 @@ void CoherentRenderer::rebuild_frame_state(int frame) {
   world_ = scene_.world_at(frame);
   accel_ = std::make_unique<UniformGridAccelerator>(world_);
   tracer_ = std::make_unique<Tracer>(world_, *accel_, options_.trace);
-  tracer_->set_listener(options_.enabled ? recorder_.get() : nullptr);
+  tracer_->set_listener(recorder_.get());
 }
 
 FrameRenderResult CoherentRenderer::render_frame(int frame, Framebuffer* fb) {
@@ -77,7 +74,7 @@ FrameRenderResult CoherentRenderer::render_frame(int frame, Framebuffer* fb) {
   if (continues_sequence) {
     result = incremental_render(frame, fb);
   } else {
-    grid_->reset();
+    if (grid_ != nullptr) grid_->reset();
     rebuild_frame_state(frame);
     result = full_render(fb);
   }
@@ -95,18 +92,14 @@ FrameRenderResult CoherentRenderer::render_frame(int frame, Framebuffer* fb) {
 }
 
 void CoherentRenderer::render_pixels_parallel(const PixelMask* mask,
-                                              bool bump_epochs,
                                               Framebuffer* fb,
                                               FrameRenderResult* result) {
+  // One chunk per mark-store band, so each chunk's marks land in an arena
+  // no other thread writes. The bands are a function of the region alone,
+  // never of the thread count, so every band's arena is too.
+  constexpr int kChunkRows = CoherenceGrid::kBandRows;
   const int chunk_count = (region_.height + kChunkRows - 1) / kChunkRows;
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(threads_);
-    mark_stamp_.assign(
-        static_cast<std::size_t>(threads_),
-        std::vector<std::uint64_t>(
-            static_cast<std::size_t>(grid_->grid().cell_count()), 0));
-    mark_serial_.assign(static_cast<std::size_t>(threads_), 0);
-  }
+  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads_);
 
   struct ChunkState {
     int y0 = 0;
@@ -114,7 +107,7 @@ void CoherentRenderer::render_pixels_parallel(const PixelMask* mask,
     int worker = 0;
     std::int64_t pixels = 0;
     TraceStats stats;
-    std::unique_ptr<BufferedRayRecorder> recorder;
+    RayRecorderStats marks;
     double start_seconds = 0.0;
     double seconds = 0.0;
   };
@@ -128,37 +121,29 @@ void CoherentRenderer::render_pixels_parallel(const PixelMask* mask,
     chunk.y0 = region_.y0 + c * kChunkRows;
     chunk.rows = std::min(kChunkRows, region_.y0 + region_.height - chunk.y0);
     Tracer tracer(world_, *accel_, options_.trace);
-    if (options_.enabled) {
-      chunk.recorder = std::make_unique<BufferedRayRecorder>(
-          grid_->grid(), options_.record_shadow_rays,
-          &mark_stamp_[static_cast<std::size_t>(worker)],
-          &mark_serial_[static_cast<std::size_t>(worker)]);
-      tracer.set_listener(chunk.recorder.get());
-    }
+    RayRecorder recorder(grid_.get(), options_.record_shadow_rays, worker);
+    if (grid_ != nullptr) tracer.set_listener(&recorder);
     for (int y = chunk.y0; y < chunk.y0 + chunk.rows; ++y) {
       for (int x = region_.x0; x < region_.x0 + region_.width; ++x) {
         if (mask != nullptr && !mask->at(x, y)) continue;
-        if (chunk.recorder != nullptr) chunk.recorder->begin_pixel(x, y);
+        if (grid_ != nullptr) grid_->begin_pixel(x, y, worker);
         fb->set(x, y, tracer.shade_pixel(x, y, fb->width(), fb->height()));
         ++chunk.pixels;
       }
     }
     chunk.stats = tracer.stats();
+    chunk.marks = recorder.stats();
     const auto chunk_end = std::chrono::steady_clock::now();
     chunk.start_seconds = seconds_between(frame_start, chunk_start);
     chunk.seconds = seconds_between(chunk_start, chunk_end);
   });
 
-  // Deterministic merge: replaying the buffered marks in ascending chunk
-  // order reproduces the sequential row-major mark order exactly; all stat
-  // counters are integers, so chunked summation is byte-identical too.
+  // The marks are already in the grid; every stat counter is an integer,
+  // so chunked summation is byte-identical to a sequential render.
   result->chunks.reserve(static_cast<std::size_t>(chunk_count));
   for (int c = 0; c < chunk_count; ++c) {
-    ChunkState& chunk = chunks[static_cast<std::size_t>(c)];
-    if (chunk.recorder != nullptr) {
-      chunk.recorder->replay(grid_.get(), bump_epochs);
-      recorder_->accumulate(chunk.recorder->stats());
-    }
+    const ChunkState& chunk = chunks[static_cast<std::size_t>(c)];
+    if (recorder_ != nullptr) recorder_->accumulate(chunk.marks);
     result->stats += chunk.stats;
     result->pixels_recomputed += chunk.pixels;
     result->chunks.push_back({c, chunk.worker, chunk.y0, chunk.rows,
@@ -176,16 +161,18 @@ FrameRenderResult CoherentRenderer::full_render(Framebuffer* fb) {
       result.recomputed.set(x, y, true);
     }
   }
-  const std::uint64_t marks_before = recorder_->stats().voxels_visited;
+  const std::uint64_t marks_before =
+      recorder_ != nullptr ? recorder_->stats().voxels_visited : 0;
   if (threads_ > 1) {
-    render_pixels_parallel(/*mask=*/nullptr, /*bump_epochs=*/false, fb,
-                           &result);
+    render_pixels_parallel(/*mask=*/nullptr, fb, &result);
   } else {
     result.pixels_recomputed = region_.area();
     result.stats = render_region(tracer_.get(), fb, region_);
   }
-  result.voxels_marked = static_cast<std::int64_t>(
-      recorder_->stats().voxels_visited - marks_before);
+  if (recorder_ != nullptr) {
+    result.voxels_marked = static_cast<std::int64_t>(
+        recorder_->stats().voxels_visited - marks_before);
+  }
   return result;
 }
 
@@ -209,9 +196,8 @@ FrameRenderResult CoherentRenderer::incremental_render(int frame,
   const bool use_pixel_list =
       threads_ == 1 && options_.block_size == 0 && !dirty.all_dirty;
   if (dirty.all_dirty) {
-    // Everything is recomputed, so every stored mark is stale: drop them all
-    // now instead of retiring pixel-by-pixel (keeping them would leak marks
-    // for pixels whose rays no longer reach their old voxels).
+    // Everything is recomputed: drop every slice at once instead of
+    // truncating them pixel by pixel.
     grid_->reset();
     for (int y = region_.y0; y < region_.y0 + region_.height; ++y) {
       for (int x = region_.x0; x < region_.x0 + region_.width; ++x) {
@@ -235,14 +221,12 @@ FrameRenderResult CoherentRenderer::incremental_render(int frame,
   tracer_->set_listener(recorder_.get());
 
   if (threads_ > 1) {
-    render_pixels_parallel(&result.recomputed, /*bump_epochs=*/true, fb,
-                           &result);
+    render_pixels_parallel(&result.recomputed, fb, &result);
   } else if (use_pixel_list) {
-    // Ascending region-local index is exactly row-major order within the
-    // region, so shading off the sorted list reproduces the masked scan —
-    // same begin_pixel order, same mark order — while skipping the
-    // region-area scan entirely on low-motion frames.
-    std::sort(dirty_pixels_.begin(), dirty_pixels_.end());
+    // collect_pixels lists pixels in ascending region-local index, which is
+    // row-major order within the region: shading off the list reproduces
+    // the masked scan while skipping the region-area scan on low-motion
+    // frames.
     for (const std::uint32_t p : dirty_pixels_) {
       const int x = region_.x0 + static_cast<int>(p) % region_.width;
       const int y = region_.y0 + static_cast<int>(p) / region_.width;

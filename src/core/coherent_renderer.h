@@ -21,13 +21,13 @@
 // block needs to be updated, all pixels in the block are re-computed."
 //
 // Intra-worker parallelism (`threads`): the region's pixels are sharded into
-// fixed row-band chunks; a thread pool shades chunks concurrently, each with
-// its own Tracer and a BufferedRayRecorder that defers grid marks and ray
-// stats into per-chunk buffers. After the join, buffers are merged into the
-// CoherenceGrid and stats are reduced in ascending chunk order — the
-// framebuffer, the grid's mark lists, and every FrameRenderResult counter
-// are byte-identical to a `threads = 1` render (only the wall-clock
-// `chunks` timing metadata differs; it is empty when sequential).
+// the coherence grid's fixed row bands; a thread pool shades bands
+// concurrently, each with its own Tracer and a RayRecorder on the pool
+// worker's grid lane, so every thread marks its own bands' slices directly.
+// Ray stats are reduced after the join — the framebuffer, the grid's marks,
+// and every FrameRenderResult counter are byte-identical to a `threads = 1`
+// render (only the wall-clock `chunks` timing metadata differs; it is empty
+// when sequential).
 #pragma once
 
 #include <memory>
@@ -120,8 +120,14 @@ class CoherentRenderer {
   /// full render of the region.
   FrameRenderResult render_frame(int frame, Framebuffer* fb);
 
+  /// The mark store; only valid when coherence is enabled.
   const CoherenceGrid& coherence_grid() const { return *grid_; }
   const PixelRect& region() const { return region_; }
+  /// Mark-store statistics; all zero when coherence is disabled, because
+  /// then no store is built.
+  CoherenceGridStats coherence_stats() const {
+    return grid_ != nullptr ? grid_->stats() : CoherenceGridStats{};
+  }
   /// Resolved render-thread count (>= 1).
   int thread_count() const { return threads_; }
 
@@ -136,31 +142,27 @@ class CoherentRenderer {
   void expand_to_blocks(PixelMask* mask) const;
 
   /// Shade the region's pixels (those in `mask`, or all when null) on the
-  /// thread pool and merge marks/stats deterministically. `bump_epochs`
-  /// retires each pixel's stale marks before re-marking (incremental path).
-  void render_pixels_parallel(const PixelMask* mask, bool bump_epochs,
-                              Framebuffer* fb, FrameRenderResult* result);
+  /// thread pool, re-marking each one, and sum the chunks' stats.
+  void render_pixels_parallel(const PixelMask* mask, Framebuffer* fb,
+                              FrameRenderResult* result);
 
   const AnimatedScene& scene_;
   PixelRect region_;
   CoherenceOptions options_;
   int threads_ = 1;
 
+  // Both null when coherence is disabled.
   std::unique_ptr<CoherenceGrid> grid_;
   std::unique_ptr<RayRecorder> recorder_;
 
   // Per-frame scratch reused across the incremental hot loop: the change
   // detector's voxel-dedup bitset and the dirty-pixel list from
-  // collect_pixels (sorted ascending = row-major shading order).
+  // collect_pixels (ascending = row-major shading order).
   DirtyScratch dirty_scratch_;
   std::vector<std::uint32_t> dirty_pixels_;
 
-  // Parallel-render state, created on first threaded frame: the pool, and
-  // one mark-dedup stamp array + pixel serial per pool worker (see
-  // BufferedRayRecorder).
+  // Created on the first threaded frame.
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::vector<std::uint64_t>> mark_stamp_;
-  std::vector<std::uint64_t> mark_serial_;
 
   // Cached instruments (null when options_.metrics is null): the registry
   // lookup by name happens once at construction, not per frame.

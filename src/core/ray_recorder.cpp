@@ -1,19 +1,6 @@
 #include "src/core/ray_recorder.h"
 
-#include <cassert>
-
 namespace now {
-
-namespace {
-
-/// Marking limit for a segment ending at `t_end`: extend fractionally past
-/// the hit so the voxel containing the hit point is marked even when the hit
-/// lies exactly on a cell boundary.
-double mark_limit(double t_end) {
-  return t_end >= kRayInfinity ? kRayInfinity : t_end * (1.0 + 1e-9) + 1e-12;
-}
-
-}  // namespace
 
 void RayRecorder::on_segment(int px, int py, const Ray& ray, double t_end,
                              RayKind kind) {
@@ -22,53 +9,10 @@ void RayRecorder::on_segment(int px, int py, const Ray& ray, double t_end,
   const VoxelGrid& vg = grid_->grid();
   vg.walk(ray, 0.0, mark_limit(t_end),
           [&](int ix, int iy, int iz, double, double) {
-            grid_->mark(vg.cell_index(ix, iy, iz), px, py);
+            grid_->mark(vg.cell_index(ix, iy, iz), px, py, lane_);
             ++stats_.voxels_visited;
             return true;
           });
-}
-
-void BufferedRayRecorder::begin_pixel(int x, int y) {
-  ++*stamp_serial_;
-  pixels_.push_back({x, y, 0});
-}
-
-void BufferedRayRecorder::on_segment(int px, int py, const Ray& ray,
-                                     double t_end, RayKind kind) {
-  if (kind == RayKind::kShadow && !record_shadow_rays_) return;
-  assert(!pixels_.empty() && pixels_.back().x == px &&
-         pixels_.back().y == py && "segment outside begin_pixel scope");
-  (void)px;
-  (void)py;
-  ++stats_.segments;
-  const std::uint64_t serial = *stamp_serial_;
-  std::vector<std::uint64_t>& stamp = *cell_stamp_;
-  grid_.walk(ray, 0.0, mark_limit(t_end),
-             [&](int ix, int iy, int iz, double, double) {
-               ++stats_.voxels_visited;
-               const int cell = grid_.cell_index(ix, iy, iz);
-               // One buffered mark per (pixel, cell): the grid's consecutive-
-               // duplicate check would drop the rest during a sequential
-               // render anyway (pixels are processed contiguously).
-               if (stamp[static_cast<std::size_t>(cell)] != serial) {
-                 stamp[static_cast<std::size_t>(cell)] = serial;
-                 cells_.push_back(static_cast<std::uint32_t>(cell));
-                 ++pixels_.back().cell_count;
-               }
-               return true;
-             });
-}
-
-void BufferedRayRecorder::replay(CoherenceGrid* grid, bool bump_epochs) const {
-  std::size_t cursor = 0;
-  for (const PixelEntry& p : pixels_) {
-    if (bump_epochs) grid->begin_pixel(p.x, p.y);
-    for (std::uint32_t i = 0; i < p.cell_count; ++i) {
-      grid->mark(static_cast<int>(cells_[cursor + i]), p.x, p.y);
-    }
-    cursor += p.cell_count;
-  }
-  assert(cursor == cells_.size());
 }
 
 }  // namespace now

@@ -9,20 +9,23 @@
 // measure the cost/benefit of the paper's shadow-coherence feature (only
 // valid with shadows off, otherwise occluder motion would be missed).
 //
-// BufferedRayRecorder is the multithreaded variant: it performs the same DDA
-// walk but defers the grid updates into a private per-chunk buffer, which
-// the renderer replays into the shared CoherenceGrid in fixed chunk order
-// after the parallel section — the grid ends byte-identical to a sequential
-// render (see CoherentRenderer's "Intra-worker parallelism" notes).
+// With several render threads, each thread marks through its own grid lane
+// (see CoherenceGrid), so one recorder per thread writes the grid directly.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "src/core/coherence_grid.h"
 #include "src/trace/tracer.h"
 
 namespace now {
+
+/// Marking limit for a segment ending at `t_end`: extend fractionally past
+/// the hit so the voxel containing the hit point is marked even when the hit
+/// lies exactly on a cell boundary.
+inline double mark_limit(double t_end) {
+  return t_end >= kRayInfinity ? kRayInfinity : t_end * (1.0 + 1e-9) + 1e-12;
+}
 
 struct RayRecorderStats {
   std::uint64_t segments = 0;
@@ -31,16 +34,17 @@ struct RayRecorderStats {
 
 class RayRecorder final : public RayListener {
  public:
-  explicit RayRecorder(CoherenceGrid* grid, bool record_shadow_rays = true)
-      : grid_(grid), record_shadow_rays_(record_shadow_rays) {}
+  explicit RayRecorder(CoherenceGrid* grid, bool record_shadow_rays = true,
+                       int lane = 0)
+      : grid_(grid), record_shadow_rays_(record_shadow_rays), lane_(lane) {}
 
   void on_segment(int px, int py, const Ray& ray, double t_end,
                   RayKind kind) override;
 
   const RayRecorderStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
-  /// Fold a buffered chunk's counts in, so per-frame stat deltas stay
-  /// consistent when sequential and threaded frames alternate.
+  /// Fold another recorder's counts in (the renderer sums its render
+  /// threads' recorders into its own after each parallel frame).
   void accumulate(const RayRecorderStats& s) {
     stats_.segments += s.segments;
     stats_.voxels_visited += s.voxels_visited;
@@ -49,64 +53,7 @@ class RayRecorder final : public RayListener {
  private:
   CoherenceGrid* grid_;
   bool record_shadow_rays_;
-  RayRecorderStats stats_;
-};
-
-/// Mark buffer for one render chunk. The owning render thread announces each
-/// pixel with begin_pixel() before shading it; every subsequent segment's
-/// DDA-visited cells are appended to that pixel's entry. replay() then feeds
-/// the buffered sequence through CoherenceGrid in recording order.
-///
-/// Dedup invariant: sequential rendering processes each pixel contiguously,
-/// so the grid's "skip the immediate duplicate" tail check collapses to "at
-/// most one mark per (pixel, cell) per frame". The recorder applies exactly
-/// that rule at buffer time (via a caller-owned stamp array, reusable across
-/// chunks on the same pool worker), and replay still goes through
-/// CoherenceGrid::mark, whose own tail check handles the chunk-boundary
-/// cases — the stored mark lists end byte-identical to a sequential render.
-class BufferedRayRecorder final : public RayListener {
- public:
-  /// `cell_stamp` must have grid.cell_count() entries and live as long as
-  /// the recorder; `stamp_serial` is the monotonically increasing pixel
-  /// serial shared by every recorder using that stamp array.
-  BufferedRayRecorder(const VoxelGrid& grid, bool record_shadow_rays,
-                      std::vector<std::uint64_t>* cell_stamp,
-                      std::uint64_t* stamp_serial)
-      : grid_(grid),
-        record_shadow_rays_(record_shadow_rays),
-        cell_stamp_(cell_stamp),
-        stamp_serial_(stamp_serial) {}
-
-  /// Start buffering marks for pixel (x, y) — full-image coordinates.
-  void begin_pixel(int x, int y);
-
-  void on_segment(int px, int py, const Ray& ray, double t_end,
-                  RayKind kind) override;
-
-  /// Feed the buffered pixels into `grid` in recording order. When
-  /// `bump_epochs` (incremental renders), each pixel's stale marks are
-  /// retired with CoherenceGrid::begin_pixel first, exactly as the
-  /// sequential recompute loop does.
-  void replay(CoherenceGrid* grid, bool bump_epochs) const;
-
-  const RayRecorderStats& stats() const { return stats_; }
-  std::int64_t pixels() const {
-    return static_cast<std::int64_t>(pixels_.size());
-  }
-
- private:
-  struct PixelEntry {
-    std::int32_t x;
-    std::int32_t y;
-    std::uint32_t cell_count;  // marks buffered for this pixel
-  };
-
-  const VoxelGrid& grid_;
-  bool record_shadow_rays_;
-  std::vector<std::uint64_t>* cell_stamp_;
-  std::uint64_t* stamp_serial_;
-  std::vector<PixelEntry> pixels_;
-  std::vector<std::uint32_t> cells_;  // concatenated per-pixel mark cells
+  int lane_;
   RayRecorderStats stats_;
 };
 

@@ -221,7 +221,7 @@ void RenderWorker::render_next_frame(Context& ctx) {
 
   ++report_.frames_rendered;
   report_.peak_mark_bytes = std::max(
-      report_.peak_mark_bytes, renderer_->coherence_grid().stats().bytes());
+      report_.peak_mark_bytes, renderer_->coherence_stats().bytes());
   report_.rays += r.stats.total_rays();
   report_.pixels_recomputed += r.pixels_recomputed;
   report_.compute_seconds += cost;

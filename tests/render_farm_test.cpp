@@ -129,6 +129,26 @@ TEST(RenderFarm, CoherenceReducesRaysAndTime) {
   EXPECT_LT(fc.elapsed_seconds, nofc.elapsed_seconds);
 }
 
+TEST(RenderFarm, CoherenceOffWorkersReportNoMarkStore) {
+  const AnimatedScene scene = orbit_scene(3, 4, 48, 36);
+  FarmConfig config;
+  config.backend = FarmBackend::kSim;
+  config.worker_speeds = {1.0, 0.5};
+  config.partition.scheme = PartitionScheme::kFrameDivision;
+  config.partition.block_size = 16;
+  config.coherence.enabled = false;
+  const FarmResult r = render_farm(scene, config);
+  ASSERT_EQ(r.workers.size(), 2u);
+  for (const WorkerReport& w : r.workers) {
+    EXPECT_GT(w.frames_rendered, 0);
+    EXPECT_EQ(w.peak_mark_bytes, 0);
+  }
+  config.coherence.enabled = true;
+  for (const WorkerReport& w : render_farm(scene, config).workers) {
+    EXPECT_GT(w.peak_mark_bytes, 0);
+  }
+}
+
 TEST(RenderFarm, SparseReturnsSendFewerBytes) {
   const AnimatedScene scene = orbit_scene(3, 8, 64, 48);
   FarmConfig sparse;

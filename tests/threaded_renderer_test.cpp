@@ -74,6 +74,8 @@ struct FrameObservation {
   Framebuffer fb;
   FrameRenderResult result;
   CoherenceGridStats grid;
+  /// Every region pixel's live marks (empty when coherence is disabled).
+  std::vector<std::vector<std::uint32_t>> pixel_marks;
 };
 
 /// Render every frame of `scene` with the given options and capture
@@ -88,7 +90,17 @@ std::vector<FrameObservation> observe(const AnimatedScene& scene,
   std::vector<FrameObservation> out;
   for (int frame = 0; frame < scene.frame_count(); ++frame) {
     FrameRenderResult r = renderer.render_frame(frame, &fb);
-    out.push_back({fb, std::move(r), renderer.coherence_grid().stats()});
+    std::vector<std::vector<std::uint32_t>> marks;
+    if (options.enabled) {
+      for (int y = region.y0; y < region.y0 + region.height; ++y) {
+        for (int x = region.x0; x < region.x0 + region.width; ++x) {
+          const auto cells = renderer.coherence_grid().pixel_cells(x, y);
+          marks.emplace_back(cells.begin(), cells.end());
+        }
+      }
+    }
+    out.push_back(
+        {fb, std::move(r), renderer.coherence_stats(), std::move(marks)});
   }
   return out;
 }
@@ -119,6 +131,8 @@ void expect_identical_runs(const AnimatedScene& scene, const PixelRect& region,
     EXPECT_EQ(a.grid.live_marks, b.grid.live_marks);
     EXPECT_EQ(a.grid.total_marks, b.grid.total_marks);
     EXPECT_EQ(a.grid.compactions, b.grid.compactions);
+    EXPECT_EQ(a.grid.reserved_marks, b.grid.reserved_marks);
+    EXPECT_TRUE(a.pixel_marks == b.pixel_marks);
     // Sequential renders carry no chunk timings; threaded full-region
     // renders must cover the region's row bands exactly once.
     EXPECT_TRUE(a.result.chunks.empty());
@@ -157,6 +171,21 @@ TEST(ThreadedRenderer, DisabledCoherenceMatchesSequential) {
   CoherenceOptions options;
   options.enabled = false;
   expect_identical_runs(scene, {0, 0, 48, 36}, options, 4);
+}
+
+TEST(CoherentRenderer, DisabledCoherenceBuildsNoMarkStore) {
+  const AnimatedScene scene = orbit_scene(3, 3, 48, 36);
+  CoherenceOptions options;
+  options.enabled = false;
+  for (const int threads : {1, 2}) {
+    options.threads = threads;
+    CoherentRenderer renderer(scene, {0, 0, 48, 36}, options);
+    Framebuffer fb(48, 36);
+    for (int frame = 0; frame < scene.frame_count(); ++frame) {
+      EXPECT_EQ(renderer.render_frame(frame, &fb).voxels_marked, 0);
+    }
+    EXPECT_EQ(renderer.coherence_stats().bytes(), 0);
+  }
 }
 
 TEST(ThreadedRenderer, BlockGranularityMatchesSequential) {

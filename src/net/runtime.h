@@ -4,6 +4,9 @@
 //   TcpRuntime     real std::thread workers, loopback TCP sockets (wall clock)
 //   SimRuntime     sequential discrete-event simulation (virtual clock with
 //                  per-machine speed factors and a shared-Ethernet model)
+// The two wall-clock backends are one core (thread_runtime.h: actor
+// threads, mailboxes, one Context, timers) over two transports: in-process
+// mailboxes, or a socket mesh in which rank 0 is endpoint 0.
 //
 // Actors are event-driven: they receive messages one at a time and may send
 // messages, charge compute cost, and request shutdown. Long computations

@@ -1,28 +1,32 @@
-// TcpRuntime: the same actor protocol carried over real loopback TCP
-// sockets, one connection per worker (star topology, exactly the paper's
-// communication pattern — "the only interprocessor communication occurs
-// between the master and each of the slaves").
+// TcpRuntime: the wall-clock core of thread_runtime.h (one actor thread
+// and mailbox per rank, one Context, one TimerQueue) over a socket
+// transport. Actors still run on threads of this process, but every
+// cross-rank message is serialized, framed, written to a loopback TCP
+// socket and read back on the far side, exercising the full wire path a
+// multi-host PVM/MPI deployment would use.
 //
-// Actors still run on threads of this process, but every cross-rank message
-// is serialized, framed, written to a socket and read back on the far side,
-// exercising the full wire path a multi-host PVM/MPI deployment would use.
-// Worker-to-worker sends are rejected (the paper's slaves never communicate)
-// unless the destination is a declared extra endpoint (a framebuffer shard):
-// TcpOptions::extra_endpoints gives those ranks their own listener that
-// every worker dials, so pixel traffic can bypass the master.
+// Topology: one mesh of endpoints. Rank 0 is endpoint 0, and the ranks in
+// TcpOptions::extra_endpoints (framebuffer shards) are the others; each
+// endpoint has a listener. Every other non-zero rank dials every endpoint,
+// and an endpoint rank dials rank 0 only. With no extra endpoints this is
+// the paper's star ("the only interprocessor communication occurs between
+// the master and each of the slaves"); shards let pixel traffic bypass the
+// master. Two ranks talk only over a connection one of them dialed.
 //
 // Robustness: every data socket carries a receive timeout (SO_RCVTIMEO), so
-// the reader pumps wake periodically instead of blocking forever on a
-// vanished peer; connect() retries with exponential backoff and
-// deterministic per-rank jitter (net.connect_retries counts the retries);
-// and every frame carries a CRC-32 over its payload — a corrupt frame is
-// counted (net.corrupt_frames) and treated as a dropped message, never
-// delivered. A FaultPlan makes crashes real at the socket level: when a
-// worker's crash triggers, both ends of its connection are shut down — the
-// master stops hearing from it exactly as if the process died. The listener
-// stays open for the whole run, so a kRejoin event can reconnect the rank
-// mid-run: the worker dials in again, re-handshakes, and re-announces
-// itself to the master (elastic membership).
+// a reader pump wakes periodically to notice a triggered crash; connect()
+// retries with exponential backoff and deterministic per-rank jitter
+// (net.connect_retries counts the retries); and every frame carries a
+// CRC-32 over its payload and must name the connection's handshaken peer as
+// its source — a corrupt frame is counted (net.corrupt_frames) and treated
+// as a dropped message, never delivered. A FaultPlan makes crashes real at
+// the socket level: when a rank's crash triggers, both ends of every
+// connection it dialed are shut down — its peers stop hearing from it
+// exactly as if the process died. The listeners stay open for the whole
+// run, so a kRejoin event re-dials exactly those connections: the rank
+// re-handshakes and re-announces itself (elastic membership). Stopping
+// shuts the listeners and sockets down, which wakes every blocked accept
+// and read at once.
 #pragma once
 
 #include <functional>
@@ -35,9 +39,8 @@
 namespace now {
 
 struct TcpOptions {
-  /// SO_RCVTIMEO on every data socket (and the listener); bounds how long a
-  /// reader pump or the accept loop can sleep before noticing shutdown, a
-  /// triggered crash, or a pending rejoin.
+  /// SO_RCVTIMEO on every data socket; bounds how long a reader pump can
+  /// sleep before noticing a triggered crash.
   double receive_timeout_seconds = 0.25;
   /// Bounded connect-retry loop (ECONNREFUSED/EINTR) before giving up.
   int connect_attempts = 20;
@@ -50,10 +53,7 @@ struct TcpOptions {
   double connect_backoff_max_seconds = 0.5;
   /// Ranks that get their own listening socket in addition to rank 0's
   /// (framebuffer shards). Every other non-zero rank dials every endpoint at
-  /// startup, extending the star into a partial mesh: a send between two
-  /// non-zero ranks is legal only from such a dialer to an endpoint.
-  /// Endpoint ranks still dial rank 0 like workers, so endpoint↔master
-  /// traffic rides the existing star. Empty = classic star topology.
+  /// startup; the endpoint ranks dial rank 0 only. Empty = classic star.
   std::vector<int> extra_endpoints;
 };
 
@@ -98,6 +98,12 @@ bool tcp_write_message(int fd, const Message& msg);
 /// (kClosed) once it says stop; null = wait forever.
 TcpReadStatus tcp_read_frame(int fd, Message* msg,
                              const std::function<bool()>& keep_going);
+
+/// As tcp_read_frame, and a frame whose header names a source other than
+/// the connection's handshaken `peer` is kCorrupt too (the CRC covers only
+/// the payload). This is the reader pumps' frame step.
+TcpReadStatus tcp_read_peer_frame(int fd, int peer, Message* msg,
+                                  const std::function<bool()>& keep_going);
 
 /// As tcp_read_frame, but corrupt frames are silently skipped (dropped):
 /// returns true on the next intact message, false when the stream ends.

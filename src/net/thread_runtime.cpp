@@ -1,7 +1,6 @@
 #include "src/net/thread_runtime.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <utility>
 
@@ -78,220 +77,228 @@ void TimerQueue::run() {
   }
 }
 
-namespace {
+bool Transport::rejoin(int rank) {
+  clock_->revive(rank);
+  return true;
+}
 
-/// kReorderMessage parking shared by every sender thread: at most one held
-/// message per (src, dest) edge, released behind the edge's next send.
-struct HeldMessages {
-  std::mutex mu;
-  std::map<std::pair<int, int>, Message> held;
-};
-
-class ThreadContext final : public Context {
+class WallClock::RankContext final : public Context {
  public:
-  ThreadContext(int rank, int world_size, std::vector<Mailbox>* mailboxes,
-                std::atomic<bool>* stop_flag, std::atomic<std::int64_t>* messages,
-                std::atomic<std::int64_t>* bytes,
-                std::chrono::steady_clock::time_point epoch,
-                FaultInjector* injector, TimerQueue* timers,
-                EventTracer* tracer, HeldMessages* held)
-      : rank_(rank),
-        world_size_(world_size),
-        mailboxes_(mailboxes),
-        stop_flag_(stop_flag),
-        messages_(messages),
-        bytes_(bytes),
-        epoch_(epoch),
-        injector_(injector),
-        timers_(timers),
-        tracer_(tracer),
-        held_(held) {}
+  RankContext(WallClock& clock, int rank) : clock_(clock), rank_(rank) {}
 
   int rank() const override { return rank_; }
-  int world_size() const override { return world_size_; }
+  int world_size() const override { return clock_.size(); }
+  double now() const override { return clock_.now(); }
+  void charge(double) override {}  // real time already elapsed
+
+  /// True once this rank has crashed; observing the crash makes it real.
+  bool dead() {
+    if (!clock_.crashed(rank_)) return false;
+    clock_.transport_.sever(rank_);
+    return true;
+  }
 
   void send(int dest, int tag, std::string payload) override {
+    if (dead()) return;
+    if (dest == rank_) {  // continuation: no network, no delay window
+      clock_.mailboxes_[rank_].push(Message{rank_, tag, std::move(payload)});
+      return;
+    }
     const double t = now();
-    if (injector_ != nullptr && injector_->crashed(rank_, t)) return;
     int copies = 1;
-    if (injector_ != nullptr && dest != rank_) {
+    if (clock_.injector_ != nullptr) {
       const FaultInjector::SendFaults f =
-          injector_->on_send(rank_, dest, tag, t);
-      if (f.drop) return;
-      if (f.hold && held_ != nullptr) {
-        std::lock_guard<std::mutex> lock(held_->mu);
-        held_->held[{rank_, dest}] = Message{rank_, tag, std::move(payload)};
-        return;
-      }
-      if (f.duplicate) copies = 2;
-      if (injector_->crashed(dest, t)) return;  // deliveries to the dead die
-    }
-    if (dest != rank_) {
-      messages_->fetch_add(copies, std::memory_order_relaxed);
-      bytes_->fetch_add(copies * static_cast<std::int64_t>(payload.size()),
-                        std::memory_order_relaxed);
-      if (tracer_ != nullptr) {
-        // In-process queues transfer instantly; an instant event still
-        // records who talked to whom, and how much.
-        tracer_->instant(rank_, "net", "net.send", t,
-                         {{"dest", dest},
-                          {"tag", tag},
-                          {"bytes",
-                           static_cast<std::int64_t>(payload.size())}});
+          clock_.injector_->on_send(rank_, dest, tag, t);
+      if (f.drop) {
+        copies = 0;
+      } else if (f.hold) {
+        held_[dest] = Message{rank_, tag, std::move(payload)};
+        copies = 0;
+      } else if (f.duplicate) {
+        copies = 2;
       }
     }
-    const double delay =
-        injector_ != nullptr ? injector_->delivery_delay(dest, t) : 0.0;
-    for (int c = 0; c < copies; ++c) {
-      Message msg{rank_, tag, payload};
-      if (delay > 0.0 && timers_ != nullptr) {
-        timers_->schedule(delay, dest, std::move(msg));
-      } else {
-        (*mailboxes_)[dest].push(std::move(msg));
-      }
+    if (copies > 0) {
+      transmit(dest, copies, Message{rank_, tag, std::move(payload)}, t);
     }
-    if (held_ != nullptr && dest != rank_) {
-      // Release a parked reorder victim behind the message just sent.
-      Message parked;
-      bool have = false;
-      {
-        std::lock_guard<std::mutex> lock(held_->mu);
-        const auto it = held_->held.find({rank_, dest});
-        if (it != held_->held.end()) {
-          parked = std::move(it->second);
-          held_->held.erase(it);
-          have = true;
-        }
-      }
-      if (have) {
-        messages_->fetch_add(1, std::memory_order_relaxed);
-        bytes_->fetch_add(static_cast<std::int64_t>(parked.payload.size()),
-                          std::memory_order_relaxed);
-        (*mailboxes_)[dest].push(std::move(parked));
-      }
-    }
+    // An after_frames crash fires on the send that delivered the N-th frame
+    // result: that message went out, and now the rank dies.
+    dead();
   }
 
   void send_after(double delay_seconds, int tag, std::string payload) override {
-    timers_->schedule(delay_seconds, rank_,
-                      Message{rank_, tag, std::move(payload)});
-  }
-
-  void charge(double) override {}  // real time already elapsed
-
-  double now() const override {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch_)
-        .count();
+    clock_.timers_.schedule(delay_seconds, rank_,
+                            Message{rank_, tag, std::move(payload)});
   }
 
   void stop() override {
-    stop_flag_->store(true, std::memory_order_release);
-    for (auto& mb : *mailboxes_) mb.shutdown();
+    clock_.stop_flag_.store(true, std::memory_order_release);
+    for (auto& mb : clock_.mailboxes_) mb.shutdown();
   }
 
  private:
+  /// Sends `copies` of `msg`, the last one moved, then the edge's parked
+  /// reorder victim right behind them.
+  void transmit(int dest, int copies, Message msg, double t) {
+    const int tag = msg.tag;
+    const auto size = static_cast<std::int64_t>(msg.payload.size());
+    auto parked = held_.extract(dest);
+    clock_.messages_.fetch_add(copies + (parked ? 1 : 0),
+                               std::memory_order_relaxed);
+    clock_.bytes_.fetch_add(
+        copies * size +
+            (parked ? static_cast<std::int64_t>(parked.mapped().payload.size())
+                    : 0),
+        std::memory_order_relaxed);
+    Transport& transport = clock_.transport_;
+    for (int c = 1; c < copies; ++c) transport.transmit(dest, msg);
+    transport.transmit(dest, std::move(msg));
+    if (parked) transport.transmit(dest, std::move(parked.mapped()));
+    if (EventTracer* tracer = clock_.tracer_) {
+      std::vector<TraceEvent::Arg> args = {
+          {"dest", dest}, {"tag", tag}, {"bytes", size}};
+      if (transport.wired()) {
+        tracer->complete(rank_, "net", "net.send", t, now() - t,
+                         std::move(args));
+      } else {
+        tracer->instant(rank_, "net", "net.send", t, std::move(args));
+      }
+    }
+  }
+
+  WallClock& clock_;
   int rank_;
-  int world_size_;
-  std::vector<Mailbox>* mailboxes_;
-  std::atomic<bool>* stop_flag_;
-  std::atomic<std::int64_t>* messages_;
-  std::atomic<std::int64_t>* bytes_;
-  std::chrono::steady_clock::time_point epoch_;
-  FaultInjector* injector_;
-  TimerQueue* timers_;
-  EventTracer* tracer_;
-  HeldMessages* held_;
+  /// kReorderMessage parking: at most one held message per destination.
+  std::map<int, Message> held_;
+};
+
+WallClock::WallClock(int world_size, const FaultPlan& plan, RuntimeObs obs,
+                     Transport& transport)
+    : plan_(plan),
+      transport_(transport),
+      tracer_(obs.tracer != nullptr && obs.tracer->enabled() ? obs.tracer
+                                                              : nullptr),
+      epoch_(std::chrono::steady_clock::now()),
+      mailboxes_(static_cast<std::size_t>(world_size)),
+      injector_(plan.empty() ? nullptr
+                             : std::make_unique<FaultInjector>(
+                                   plan, world_size, tracer_)),
+      timers_([this](int dest, Message msg) { fire(dest, std::move(msg)); }) {}
+
+double WallClock::now() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       epoch_)
+      .count();
+}
+
+bool WallClock::crashed(int rank) {
+  return injector_ != nullptr && injector_->crashed(rank, now());
+}
+
+void WallClock::revive(int rank) { injector_->revive(rank, now()); }
+
+void WallClock::deliver(int dest, Message msg) {
+  const double delay =
+      injector_ != nullptr ? injector_->delivery_delay(dest, now()) : 0.0;
+  if (delay > 0.0) {
+    timers_.schedule(delay, dest, std::move(msg));
+  } else {
+    mailboxes_[dest].push(std::move(msg));
+  }
+}
+
+void WallClock::arm_rejoins() {
+  if (injector_ == nullptr || plan_.rejoin_tag < 0) return;
+  for (const FaultEvent& e : plan_.events) {
+    if (e.kind != FaultKind::kRejoin || e.at_time < 0.0) continue;
+    timers_.schedule(std::max(0.0, e.at_time - now()), e.rank,
+                     Message{e.rank, plan_.rejoin_tag, {}});
+  }
+  injector_->set_rejoin_hook([this](int rank, double at) {
+    timers_.schedule(std::max(0.0, at - now()), rank,
+                     Message{rank, plan_.rejoin_tag, {}});
+  });
+}
+
+void WallClock::fire(int dest, Message msg) {
+  if (dest < 0 || dest >= size()) return;
+  if (injector_ != nullptr) {
+    if (plan_.rejoin_tag >= 0 && msg.tag == plan_.rejoin_tag &&
+        msg.source == dest) {
+      // The restart signal must reach the dead rank: revive and reconnect
+      // it first, so its re-announcement has a live link to ride.
+      if (!transport_.rejoin(dest)) return;
+    } else if (injector_->crashed(dest, now())) {
+      return;
+    }
+  }
+  mailboxes_[dest].push(std::move(msg));
+}
+
+RuntimeStats WallClock::run(const std::vector<Actor*>& actors,
+                            const FaultPlan& plan, RuntimeObs obs,
+                            Transport& transport) {
+  const int n = static_cast<int>(actors.size());
+  WallClock clock(n, plan, obs, transport);
+  try {
+    transport.open(clock);
+  } catch (...) {
+    clock.timers_.shutdown();
+    transport.close();
+    throw;
+  }
+  clock.arm_rejoins();
+
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (int rank = 0; rank < n; ++rank) {
+    threads.emplace_back([&clock, &actors, rank] {
+      RankContext ctx(clock, rank);
+      Actor& actor = *actors[rank];
+      actor.on_start(ctx);
+      Message msg;
+      while (clock.mailboxes_[rank].pop(&msg)) {
+        if (ctx.dead()) continue;
+        if (clock.tracer_ != nullptr && msg.source != rank) {
+          clock.tracer_->instant(
+              rank, "net", "net.recv", ctx.now(),
+              {{"src", msg.source},
+               {"tag", msg.tag},
+               {"bytes", static_cast<std::int64_t>(msg.payload.size())}});
+        }
+        actor.on_message(ctx, msg);
+      }
+      actor.on_shutdown(ctx);
+    });
+  }
+  for (auto& t : threads) t.join();
+  clock.timers_.shutdown();
+  transport.close();
+
+  RuntimeStats stats;
+  stats.elapsed_seconds = clock.now();
+  stats.messages = clock.messages_.load();
+  stats.bytes = clock.bytes_.load();
+  if (clock.injector_ != nullptr) clock.injector_->export_metrics(obs.metrics);
+  return stats;
+}
+
+namespace {
+
+/// In-process transport: a cross-rank message goes straight into the
+/// destination mailbox.
+class MailboxTransport final : public Transport {
+ public:
+  void transmit(int dest, Message msg) override {
+    clock_->deliver(dest, std::move(msg));
+  }
 };
 
 }  // namespace
 
 RuntimeStats ThreadRuntime::run(const std::vector<Actor*>& actors) {
-  const int n = static_cast<int>(actors.size());
-  std::vector<Mailbox> mailboxes(n);
-  std::atomic<bool> stop_flag{false};
-  std::atomic<std::int64_t> messages{0};
-  std::atomic<std::int64_t> bytes{0};
-  const auto epoch = std::chrono::steady_clock::now();
-
-  EventTracer* tracer = obs_.tracer;
-  if (tracer != nullptr && !tracer->enabled()) tracer = nullptr;
-
-  std::unique_ptr<FaultInjector> injector;
-  if (!plan_.empty()) {
-    injector = std::make_unique<FaultInjector>(plan_, n, tracer);
-  }
-
-  TimerQueue timers([&](int dest, Message msg) {
-    if (dest < 0 || dest >= n) return;
-    const double t = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - epoch)
-                         .count();
-    if (injector != nullptr) {
-      if (plan_.rejoin_tag >= 0 && msg.tag == plan_.rejoin_tag &&
-          msg.source == dest) {
-        // The restart signal must reach the dead rank: revive first, then
-        // let the delivery through.
-        injector->revive(dest, t);
-      } else if (injector->crashed(dest, t)) {
-        return;
-      }
-    }
-    mailboxes[dest].push(std::move(msg));
-  });
-  // Rejoin events ride the timer: at their scheduled wall time the rank is
-  // revived and handed the rejoin tag so it re-announces itself. Relative
-  // rejoins (after_crash_seconds) are scheduled by the injector's hook the
-  // moment the crash fires.
-  if (injector != nullptr && plan_.rejoin_tag >= 0) {
-    for (const FaultEvent& e : plan_.events) {
-      if (e.kind != FaultKind::kRejoin || e.at_time < 0.0) continue;
-      timers.schedule(e.at_time, e.rank, Message{e.rank, plan_.rejoin_tag, {}});
-    }
-    injector->set_rejoin_hook([&, epoch](int rank, double at) {
-      const double t = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - epoch)
-                           .count();
-      timers.schedule(std::max(0.0, at - t), rank,
-                      Message{rank, plan_.rejoin_tag, {}});
-    });
-  }
-  HeldMessages held;
-
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (int rank = 0; rank < n; ++rank) {
-    threads.emplace_back([&, rank] {
-      ThreadContext ctx(rank, n, &mailboxes, &stop_flag, &messages, &bytes,
-                        epoch, injector.get(), &timers, tracer, &held);
-      actors[rank]->on_start(ctx);
-      Message msg;
-      while (mailboxes[rank].pop(&msg)) {
-        const double t = ctx.now();
-        if (injector != nullptr && injector->crashed(rank, t)) continue;
-        if (tracer != nullptr && msg.source != rank) {
-          tracer->instant(
-              rank, "net", "net.recv", t,
-              {{"src", msg.source},
-               {"tag", msg.tag},
-               {"bytes", static_cast<std::int64_t>(msg.payload.size())}});
-        }
-        actors[rank]->on_message(ctx, msg);
-      }
-      actors[rank]->on_shutdown(ctx);
-    });
-  }
-  for (auto& t : threads) t.join();
-  timers.shutdown();
-
-  RuntimeStats stats;
-  stats.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch)
-          .count();
-  stats.messages = messages.load();
-  stats.bytes = bytes.load();
-  if (injector != nullptr) injector->export_metrics(obs_.metrics);
-  return stats;
+  MailboxTransport transport;
+  return WallClock::run(actors, plan_, obs_, transport);
 }
 
 }  // namespace now

@@ -186,17 +186,14 @@ StatusServer::StatusServer(int port, Provider metrics_text,
   }
   impl_->listener = fd;
   impl_->port = ntohs(bound.sin_port);
-  // The accept loop wakes on a receive timeout to notice stop() — the same
-  // idiom the TCP runtime's acceptor uses.
-  set_rcv_timeout(fd, 0.1);
+  // The accept loop blocks until stop() shuts the listener down, which
+  // wakes accept() at once.
   Impl* impl = impl_.get();
   impl_->thread = std::thread([impl] {
-    while (!impl->stop.load(std::memory_order_acquire)) {
+    for (;;) {
       const int client = ::accept(impl->listener, nullptr, nullptr);
       if (client < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-          continue;
-        }
+        if (errno == EINTR || errno == ECONNABORTED) continue;
         break;
       }
       serve_one(client, impl);
@@ -220,6 +217,7 @@ void StatusServer::stop() {
     if (impl_->thread.joinable()) impl_->thread.join();
     return;
   }
+  if (impl_->listener >= 0) ::shutdown(impl_->listener, SHUT_RDWR);
   if (impl_->thread.joinable()) impl_->thread.join();
   if (impl_->listener >= 0) {
     ::close(impl_->listener);

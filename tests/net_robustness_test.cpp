@@ -1,6 +1,6 @@
 // TCP wire robustness, tested without a farm: CRC-framed messages over a
-// socketpair (intact, corrupted, truncated streams) and the deterministic
-// connect-backoff schedule.
+// socketpair (intact, corrupted, truncated, forged-source streams) and the
+// deterministic connect-backoff schedule.
 #include "src/net/tcp_runtime.h"
 
 #include <gtest/gtest.h>
@@ -129,6 +129,25 @@ TEST(TcpFrame, ReadMessageSkipsCorruptFramesSilently) {
 
   Message got;
   ASSERT_TRUE(tcp_read_message(sp.b(), &got));
+  EXPECT_EQ(got.tag, good.tag);
+  EXPECT_EQ(got.payload, good.payload);
+}
+
+TEST(TcpFrame, FrameFromAnotherSourceThanThePeerIsCorrupt) {
+  SocketPair sp;
+  // A header damaged in flight can name another rank — here rank 0 — while
+  // the payload CRC still checks out. The reader knows the connection's
+  // handshaken peer (rank 2) and refuses the frame; the stream stays aligned.
+  write_raw(sp.a(), tcp_encode_frame(Message{0, 5, "forged"}));
+  const Message good{2, 6, "genuine"};
+  ASSERT_TRUE(tcp_write_message(sp.a(), good));
+
+  Message got;
+  EXPECT_EQ(tcp_read_peer_frame(sp.b(), 2, &got, nullptr),
+            TcpReadStatus::kCorrupt);
+  ASSERT_EQ(tcp_read_peer_frame(sp.b(), 2, &got, nullptr),
+            TcpReadStatus::kOk);
+  EXPECT_EQ(got.source, good.source);
   EXPECT_EQ(got.tag, good.tag);
   EXPECT_EQ(got.payload, good.payload);
 }

@@ -323,6 +323,24 @@ TEST(StatusServer, ServesMetricsAndStatusOverARealSocket) {
   EXPECT_FALSE(server.ok());
 }
 
+TEST(StatusServer, StopWakesTheAcceptLoopAtOnce) {
+  // stop() shuts the listener down, so a blocked accept() returns at once
+  // instead of on a polling tick.
+  double stopping = 0.0;
+  for (int i = 0; i < 5; ++i) {
+    StatusServer server(
+        0, [] { return std::string(); }, [] { return std::string(); });
+    ASSERT_TRUE(server.ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto start = std::chrono::steady_clock::now();
+    server.stop();
+    stopping += std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+  }
+  EXPECT_LT(stopping, 0.1);
+}
+
 TEST(StatusServer, ParsesARequestSplitAcrossTcpSegments) {
   StatusBoard board;
   board.publish("{\"alive\": true}\n");

@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the hot inner loops: primitive
 // intersection, segment-box distance and the per-frame accelerator build,
-// DDA grid traversal, coherence marking/collection, the pixel codec and the
-// wire format.
+// DDA grid traversal, coherence marking/collection, the pixel codec, the
+// wire format and the durable frame path (CRC-32, pixel digests, targa
+// encoding).
 //
 // Shares the bench-suite flag contract: --metrics-out FILE maps onto
 // google-benchmark's JSON reporter, --quick trims the per-benchmark
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/ckpt/journal.h"
 #include "src/core/change_detector.h"
 #include "src/core/coherent_renderer.h"
 #include "src/core/ray_recorder.h"
@@ -19,8 +21,10 @@
 #include "src/geom/overlap.h"
 #include "src/geom/sphere.h"
 #include "src/geom/voxel_grid.h"
+#include "src/image/image_io.h"
 #include "src/image/pixel_codec.h"
 #include "src/math/rng.h"
+#include "src/net/crc32.h"
 #include "src/par/protocol.h"
 #include "src/scene/builtin_scenes.h"
 #include "src/trace/render.h"
@@ -296,6 +300,65 @@ void BM_FrameResultRoundTrip(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) * 80 * 80 * 3);
 }
 BENCHMARK(BM_FrameResultRoundTrip);
+
+// -- durable frame path -------------------------------------------------------
+
+Framebuffer noise_frame(int w, int h) {
+  Framebuffer fb(w, h);
+  Rng rng(3);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      fb.set(x, y, Rgb8{static_cast<std::uint8_t>(rng.next_below(256)),
+                        static_cast<std::uint8_t>(rng.next_below(256)),
+                        static_cast<std::uint8_t>(rng.next_below(256))});
+    }
+  }
+  return fb;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+  Rng rng(5);
+  for (std::uint8_t& b : buf) {
+    b = static_cast<std::uint8_t>(rng.next_below(256));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+// One 640x480 frame digested tile by tile in 160x160 rects, as a shard
+// journals its region commits.
+void BM_DigestRect(benchmark::State& state) {
+  const Framebuffer fb = noise_frame(640, 480);
+  for (auto _ : state) {
+    std::uint32_t acc = 0;
+    for (int y = 0; y < fb.height(); y += 160) {
+      for (int x = 0; x < fb.width(); x += 160) {
+        acc ^= digest_rect(fb, PixelRect{x, y, 160, 160});
+      }
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          fb.pixel_count() * 3);
+}
+BENCHMARK(BM_DigestRect)->Unit(benchmark::kMicrosecond);
+
+void BM_EncodeTga(benchmark::State& state) {
+  const Framebuffer fb = noise_frame(640, 480);
+  for (auto _ : state) {
+    const std::string bytes = encode_tga(fb);
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          fb.pixel_count() * 3);
+}
+BENCHMARK(BM_EncodeTga)->Unit(benchmark::kMicrosecond);
 
 void BM_RenderNewtonFrame(benchmark::State& state) {
   CradleParams params;

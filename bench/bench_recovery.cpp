@@ -1,8 +1,9 @@
 // Crash-recovery pricing: what does the render journal cost while nothing
 // goes wrong, and what does a resume buy after a crash?
 //
-// The journal is pure master-side I/O — one fsync'd record per committed
-// region — so its price is wall-clock, not virtual-cluster time. This bench
+// The journal is pure frame-owner I/O — one record per committed region,
+// group-committed by one fsync per completed frame (and per checkpoint) —
+// so its price is wall-clock, not virtual-cluster time. This bench
 // measures (a) the wall overhead of journaling the paper's Newton workload
 // with fsync on and off, and (b) resume cost: wall time to restore a
 // finished run from disk versus re-rendering, and the render work saved

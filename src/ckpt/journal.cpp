@@ -196,17 +196,13 @@ std::string shard_journal_path(const std::string& base, int shard) {
 }
 
 std::uint32_t digest_rect(const Framebuffer& fb, const PixelRect& rect) {
+  // Rows are CRC'd in place: a framebuffer row is packed r,g,b bytes, the
+  // exact byte stream the digest is defined over.
+  static_assert(sizeof(Rgb8) == 3, "Rgb8 must be three packed bytes");
   std::uint32_t crc = 0;
-  std::vector<std::uint8_t> row(static_cast<std::size_t>(rect.width) * 3);
+  const std::size_t row_bytes = static_cast<std::size_t>(rect.width) * 3;
   for (int y = rect.y0; y < rect.y0 + rect.height; ++y) {
-    std::size_t i = 0;
-    for (int x = rect.x0; x < rect.x0 + rect.width; ++x) {
-      const Rgb8 p = fb.at(x, y);
-      row[i++] = p.r;
-      row[i++] = p.g;
-      row[i++] = p.b;
-    }
-    crc = crc32(row.data(), row.size(), crc);
+    crc = crc32(fb.pixels().data() + fb.index(rect.x0, y), row_bytes, crc);
   }
   return crc;
 }
@@ -255,7 +251,13 @@ void JournalWriter::append(JournalRecordType type, const std::string& payload) {
     p += n;
     left -= static_cast<std::size_t>(n);
   }
-  if (options_.fsync && ::fsync(fd_) != 0) good_ = false;
+  // Group commit: only a record that makes a promise is synced. A region
+  // commit rides along with the next sync; until then its pixels exist only
+  // in memory anyway (see the header comment).
+  if (options_.fsync && type != JournalRecordType::kRegionCommit) {
+    if (::fsync(fd_) != 0) good_ = false;
+    ++syncs_;
+  }
   ++records_;
   bytes_ += static_cast<std::int64_t>(rec.size());
 }
@@ -303,7 +305,9 @@ JournalReplay replay_journal(const std::string& path) {
       out.truncated_tail = true;
       break;
     }
-    const std::uint32_t want_crc = crc32(bytes.data() + pos + 4, 5 + len);
+    const std::uint32_t want_crc =
+        crc32(static_cast<const void*>(bytes.data() + pos + 4),
+              std::size_t{5} + len);
     const std::string crc_bytes = bytes.substr(pos + 9 + len, 4);
     WireReader tail(crc_bytes);
     std::uint32_t got_crc = 0;

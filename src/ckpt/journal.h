@@ -8,12 +8,22 @@
 // kCheckpoint records compacting the scheduler state (completed-frame
 // bitmap, pending task queue, per-worker task views).
 //
-// Every append is fsync'd by default, so after a crash the file is a valid
-// prefix of records plus at most one torn tail. replay_journal() stops at
-// the first record whose frame or CRC is invalid and reports the length of
-// the valid prefix; a writer resuming an interrupted run truncates the file
-// back to that prefix before appending, so a journal never accumulates
-// garbage between valid records.
+// Group commit: by default the writer fsyncs each record that makes a
+// promise — the header, every kFrameComplete (its targa is already durable)
+// and every kCheckpoint — and that sync also makes every record written
+// before it durable. A kRegionCommit is written but not synced on its own:
+// it names pixels of an incomplete frame that live only in memory, so a
+// power loss that drops it loses nothing the record could have restored.
+// The frame's coverage then falls short on resume, and the restore renders
+// it again wholesale. That costs one fsync per frame (plus checkpoints) in
+// place of one per record.
+//
+// After a crash the file is a valid prefix of records plus at most one torn
+// tail: everything up to the last synced record, and any part of what
+// followed it. replay_journal() stops at the first record whose frame or CRC
+// is invalid and reports the length of the valid prefix; a writer resuming
+// an interrupted run truncates the file back to that prefix before
+// appending, so a journal never accumulates garbage between valid records.
 //
 // Record framing (all integers little-endian via WireWriter):
 //   [u32 magic 'NWJL'][u8 type][u32 payload_len][payload]
@@ -116,8 +126,10 @@ inline std::uint32_t digest_frame(const Framebuffer& fb) {
 }
 
 struct JournalOptions {
-  /// fsync after every append. Crash consistency requires it; tests that
-  /// only exercise replay logic may disable it for speed.
+  /// fsync after each header, frame-complete and checkpoint record (group
+  /// commit; region commits ride along with the next one). Crash
+  /// consistency requires it; false means no fsync at all, for tests that
+  /// only exercise replay logic.
   bool fsync = true;
 };
 
@@ -153,6 +165,8 @@ class JournalWriter {
   std::int64_t records_appended() const { return records_; }
   std::int64_t bytes_appended() const { return bytes_; }
   std::int64_t checkpoints_written() const { return checkpoints_; }
+  /// fsync calls made so far (0 with JournalOptions::fsync off).
+  std::int64_t syncs() const { return syncs_; }
 
  private:
   JournalWriter(int fd, JournalOptions options)
@@ -166,6 +180,7 @@ class JournalWriter {
   std::int64_t records_ = 0;
   std::int64_t bytes_ = 0;
   std::int64_t checkpoints_ = 0;
+  std::int64_t syncs_ = 0;
 };
 
 /// Everything replay_journal() recovers from a journal file.

@@ -14,9 +14,9 @@ namespace {
 
 constexpr int kTgaHeaderSize = 18;
 
-void put_u16le(std::string* out, std::uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
+void put_u16le(unsigned char* p, std::uint16_t v) {
+  p[0] = static_cast<unsigned char>(v & 0xff);
+  p[1] = static_cast<unsigned char>((v >> 8) & 0xff);
 }
 
 std::uint16_t get_u16le(const unsigned char* p) {
@@ -42,26 +42,24 @@ bool read_file(const std::string& path, std::string* bytes) {
 }  // namespace
 
 std::string encode_tga(const Framebuffer& fb) {
-  std::string out;
-  out.reserve(kTgaHeaderSize + static_cast<std::size_t>(fb.pixel_count()) * 3);
-  out.push_back(0);  // id length
-  out.push_back(0);  // no color map
-  out.push_back(2);  // uncompressed true-color
-  out.append(5, '\0');  // color map spec
-  put_u16le(&out, 0);  // x origin
-  put_u16le(&out, 0);  // y origin
-  put_u16le(&out, static_cast<std::uint16_t>(fb.width()));
-  put_u16le(&out, static_cast<std::uint16_t>(fb.height()));
-  out.push_back(24);    // bits per pixel
-  out.push_back(0x20);  // descriptor: top-left origin
-  for (int y = 0; y < fb.height(); ++y) {
-    for (int x = 0; x < fb.width(); ++x) {
-      const Rgb8 p = fb.at(x, y);
-      // TGA stores BGR.
-      out.push_back(static_cast<char>(p.b));
-      out.push_back(static_cast<char>(p.g));
-      out.push_back(static_cast<char>(p.r));
-    }
+  // Sized once, then filled in place.
+  std::string out(
+      kTgaHeaderSize + static_cast<std::size_t>(fb.pixel_count()) * 3, '\0');
+  auto* o = reinterpret_cast<unsigned char*>(out.data());
+  // Bytes 0-1 (id length, color map) and 3-11 (color map spec, x/y origin)
+  // stay zero.
+  o[2] = 2;  // uncompressed true-color
+  put_u16le(o + 12, static_cast<std::uint16_t>(fb.width()));
+  put_u16le(o + 14, static_cast<std::uint16_t>(fb.height()));
+  o[16] = 24;    // bits per pixel
+  o[17] = 0x20;  // descriptor: top-left origin
+  unsigned char* px = o + kTgaHeaderSize;
+  for (const Rgb8& p : fb.pixels()) {
+    // TGA stores BGR.
+    px[0] = p.b;
+    px[1] = p.g;
+    px[2] = p.r;
+    px += 3;
   }
   return out;
 }

@@ -1,6 +1,13 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320): the one checksum
-// shared by the wire layer (TCP frame payload integrity) and the render
-// journal (record framing and pixel digests). Table-driven, no dependencies.
+// shared by the wire layer (TCP frame payload integrity, codec envelopes)
+// and the render journal (record framing and pixel digests), which CRCs
+// every frame twice on the commit path. No dependencies.
+//
+// Slicing-by-8: eight compile-time tables fold eight bytes per step
+// (BM_Crc32). Words are assembled from bytes explicitly, so the code is
+// portable C++ with no intrinsics, build flag or CPU dispatch, and every
+// input (any length, alignment or chained split) yields the bytewise
+// definition's value.
 #pragma once
 
 #include <cstddef>

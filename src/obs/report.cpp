@@ -119,6 +119,9 @@ UtilizationReport compute_utilization(const std::vector<TraceEvent>& events,
         }
         break;
       case TraceEvent::Phase::kInstant:
+      case TraceEvent::Phase::kFlowStart:
+      case TraceEvent::Phase::kFlowStep:
+      case TraceEvent::Phase::kFlowEnd:
         break;
     }
   }

@@ -103,7 +103,8 @@ struct MasterConfig {
   std::string output_dir;
   std::string output_prefix = "frame";
   /// Render journal ("" disables): every committed region-frame is appended
-  /// as a checksummed, fsync'd record, frame TGAs are written atomically
+  /// as a checksummed record (group-committed by the next frame-complete or
+  /// checkpoint record's fsync), frame TGAs are written atomically
   /// *before* their completion record, and the scheduler state is compacted
   /// into periodic checkpoint records. A crashed run resumes from the
   /// journal + frame files via `recovery`.

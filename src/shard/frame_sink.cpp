@@ -25,7 +25,18 @@ FrameSink::FrameSink(const FrameSinkConfig& config) : config_(config) {
     frames_completed_ =
         &config_.metrics->counter(prefix + "frames_completed");
     write_failures_ = &config_.metrics->counter("frames.write_failures");
+    if (journal_ != nullptr) {
+      journal_syncs_ = &config_.metrics->counter("journal.syncs");
+      count_syncs();  // the header's
+    }
   }
+}
+
+void FrameSink::count_syncs() {
+  if (journal_syncs_ == nullptr) return;
+  journal_syncs_->inc(
+      static_cast<std::uint64_t>(journal_->syncs() - syncs_counted_));
+  syncs_counted_ = journal_->syncs();
 }
 
 void FrameSink::commit_region(std::int32_t task_id, const PixelRect& rect,
@@ -59,11 +70,14 @@ void FrameSink::complete_frame(std::int32_t frame, const Framebuffer& fb) {
     fc.frame = frame;
     fc.digest = digest_frame(fb);
     journal_->frame_complete(fc);
+    count_syncs();
   }
 }
 
 void FrameSink::checkpoint(const CheckpointRecord& rec) {
-  if (journal_ != nullptr) journal_->checkpoint(rec);
+  if (journal_ == nullptr) return;
+  journal_->checkpoint(rec);
+  count_syncs();
 }
 
 }  // namespace now

@@ -8,7 +8,9 @@
 // *decoded* pixels (journals are codec-invariant), and a frame completion
 // renames the TGA into place *before* appending the record that declares it
 // durable (write-ahead: a resume never trusts a frame that is not wholly on
-// disk).
+// disk). The journal group-commits: the frame-complete record's fsync also
+// makes the frame's region commits durable, so a frame costs one journal
+// fsync (counted in journal.syncs).
 //
 // Each sink also labels its IO by receiving endpoint
 // (endpoint.<rank>.frames_committed / frames_completed), so a sharded run's
@@ -94,12 +96,17 @@ class FrameSink {
   }
 
  private:
+  /// Credit journal.syncs with the syncs the journal made since last call.
+  void count_syncs();
+
   FrameSinkConfig config_;
   std::unique_ptr<JournalWriter> journal_;
   Counter* frames_committed_ = nullptr;  // endpoint.<rank>.frames_committed
   Counter* frames_completed_ = nullptr;  // endpoint.<rank>.frames_completed
   Counter* write_failures_ = nullptr;    // frames.write_failures
+  Counter* journal_syncs_ = nullptr;     // journal.syncs (journaling only)
   std::int64_t write_failure_count_ = 0;
+  std::int64_t syncs_counted_ = 0;
 };
 
 }  // namespace now

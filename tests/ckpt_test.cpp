@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "src/ckpt/recovery.h"
 #include "src/image/image_io.h"
+#include "src/math/rng.h"
 #include "src/net/crc32.h"
 
 namespace now {
@@ -63,6 +67,63 @@ TEST(Crc32, KnownVectorAndIncremental) {
   EXPECT_EQ(crc32("6789", 4, head), 0xCBF43926u);
   // One flipped bit changes the digest.
   EXPECT_NE(crc32("123456788", 9), crc32("123456789", 9));
+}
+
+// One table lookup per byte: the textbook reflected CRC-32, kept here as the
+// oracle the production routine must match bit for bit.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t len,
+                             std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) {
+    b = static_cast<std::uint8_t>(rng.next_below(256));
+  }
+  return out;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..64 from every start offset 0..7 cover each alignment of a
+  // word-at-a-time loop against its head and tail bytes.
+  const std::vector<std::uint8_t> buf = random_bytes(64 + 8, 11);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* p = buf.data() + off;
+      ASSERT_EQ(crc32(p, len), crc32_bytewise(p, len))
+          << "offset " << off << " length " << len;
+      ASSERT_EQ(crc32(p, len, 0x12345678u),
+                crc32_bytewise(p, len, 0x12345678u))
+          << "seeded, offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, ChainedRandomSplitsOfOneMegabyteMatchReference) {
+  const std::vector<std::uint8_t> buf = random_bytes(std::size_t{1} << 20, 7);
+  const std::uint32_t want = crc32_bytewise(buf.data(), buf.size());
+  EXPECT_EQ(crc32(buf.data(), buf.size()), want);
+  Rng rng(2024);
+  for (int trial = 0; trial < 8; ++trial) {
+    // Chain blocks of random length (0 to ~64 KB), as the journal digests
+    // row by row and the wire checksums payload by payload.
+    std::uint32_t crc = 0;
+    std::size_t pos = 0;
+    while (pos < buf.size()) {
+      const std::size_t n = std::min<std::size_t>(
+          buf.size() - pos, rng.next_below(trial % 2 == 0 ? 64 : 65536));
+      crc = crc32(buf.data() + pos, n, crc);
+      pos += n;
+    }
+    EXPECT_EQ(crc, want) << "trial " << trial;
+  }
 }
 
 // -- journal write / replay -------------------------------------------------
@@ -280,6 +341,40 @@ TEST(Journal, ResumeTruncatesTornTailAndAppends) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, GroupCommitSyncsOnlyRecordsThatMakeAPromise) {
+  const std::string path = unique_path("journal_syncs");
+  for (const bool fsync : {true, false}) {
+    JournalOptions opts;
+    opts.fsync = fsync;
+    const int on = fsync ? 1 : 0;
+    {
+      auto w = JournalWriter::create(path, small_header(), opts);
+      ASSERT_NE(w, nullptr);
+      EXPECT_EQ(w->syncs(), on);  // the header
+      w->region_commit(sample_commit(0));
+      w->region_commit(sample_commit(0));
+      EXPECT_EQ(w->syncs(), on);  // region commits ride along...
+      w->frame_complete(FrameCompleteRecord{0, 1});
+      EXPECT_EQ(w->syncs(), 2 * on);  // ...with the frame's completion
+      w->region_commit(sample_commit(1));
+      w->checkpoint(CheckpointRecord{});
+      EXPECT_EQ(w->syncs(), 3 * on);
+      EXPECT_EQ(w->records_appended(), 6);
+      EXPECT_TRUE(w->good());
+    }
+    // A resumed writer appends without a header and counts from zero.
+    const JournalReplay r = replay_journal(path);
+    ASSERT_TRUE(r.ok) << r.error;
+    auto w = JournalWriter::resume(path, r.valid_bytes, opts);
+    ASSERT_NE(w, nullptr);
+    w->region_commit(sample_commit(2));
+    EXPECT_EQ(w->syncs(), 0);
+    w->frame_complete(FrameCompleteRecord{2, 3});
+    EXPECT_EQ(w->syncs(), on);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Journal, MissingFileReportsNotOk) {
   const JournalReplay r = replay_journal(unique_path("journal_nonexistent"));
   EXPECT_FALSE(r.ok);
@@ -298,6 +393,38 @@ TEST(Journal, DigestRectCoversExactlyTheRect) {
   inside.set(9, 3, Rgb8{255, 255, 255});
   EXPECT_NE(digest_rect(fb, rect), digest_rect(inside, rect));
   EXPECT_EQ(digest_frame(fb), digest_rect(fb, fb.full_rect()));
+}
+
+TEST(Journal, DigestRectMatchesCopyTheRowReference) {
+  // The digest is defined as chained CRCs of each row's r,g,b bytes; the
+  // reference copies every row out before checksumming it.
+  const Framebuffer fb = gradient_frame(37, 11, 5);
+  const auto reference = [&](const PixelRect& rect) {
+    std::uint32_t crc = 0;
+    for (int y = rect.y0; y < rect.y0 + rect.height; ++y) {
+      std::vector<std::uint8_t> row;
+      for (int x = rect.x0; x < rect.x0 + rect.width; ++x) {
+        const Rgb8 p = fb.at(x, y);
+        row.insert(row.end(), {p.r, p.g, p.b});
+      }
+      crc = crc32_bytewise(row.data(), row.size(), crc);
+    }
+    return crc;
+  };
+  const std::vector<PixelRect> rects = {
+      {5, 2, 0, 4},    // width 0
+      {5, 2, 1, 4},    // width 1
+      {36, 0, 1, 11},  // the last column
+      {0, 10, 37, 1},  // the last row
+      {3, 1, 20, 7},
+      {4, 4, 6, 0},    // height 0
+      fb.full_rect(),
+  };
+  for (const PixelRect& r : rects) {
+    EXPECT_EQ(digest_rect(fb, r), reference(r))
+        << r.x0 << "," << r.y0 << " " << r.width << "x" << r.height;
+  }
+  EXPECT_EQ(digest_frame(fb), reference(fb.full_rect()));
 }
 
 // -- atomic targa writes ----------------------------------------------------

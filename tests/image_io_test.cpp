@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/math/rng.h"
 
 namespace now {
@@ -35,6 +38,35 @@ TEST(TgaCodec, HeaderIsWellFormed) {
   EXPECT_EQ(bytes[2], 2);    // uncompressed true-color
   EXPECT_EQ(static_cast<unsigned char>(bytes[16]), 24);  // bpp
   EXPECT_EQ(bytes.size(), 18u + 320u * 240u * 3u);
+}
+
+TEST(TgaCodec, EncodeMatchesPerPixelReference) {
+  // The reference appends the 18-byte header and then each pixel as b,g,r,
+  // top row first.
+  const auto reference = [](const Framebuffer& fb) {
+    std::string out = {0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+    for (const int v : {fb.width(), fb.height()}) {
+      out.push_back(static_cast<char>(v & 0xff));
+      out.push_back(static_cast<char>((v >> 8) & 0xff));
+    }
+    out.push_back(24);
+    out.push_back(0x20);
+    for (int y = 0; y < fb.height(); ++y) {
+      for (int x = 0; x < fb.width(); ++x) {
+        const Rgb8 p = fb.at(x, y);
+        out.push_back(static_cast<char>(p.b));
+        out.push_back(static_cast<char>(p.g));
+        out.push_back(static_cast<char>(p.r));
+      }
+    }
+    return out;
+  };
+  for (const auto& [w, h] : {std::pair{0, 0}, std::pair{1, 1},
+                             std::pair{17, 9}, std::pair{300, 2},
+                             std::pair{640, 480}}) {
+    const Framebuffer fb = random_image(w, h, static_cast<std::uint64_t>(w));
+    EXPECT_EQ(encode_tga(fb), reference(fb)) << w << "x" << h;
+  }
 }
 
 TEST(TgaCodec, RejectsTruncatedData) {

@@ -178,7 +178,7 @@ class Burst final : public Actor {
   explicit Burst(int count) : count_(count) {}
   void on_start(Context& ctx) override {
     for (int i = 0; i < count_; ++i) {
-      ctx.send(0, kData, "d" + std::to_string(i));
+      ctx.send(0, kData, std::string("d").append(std::to_string(i)));
     }
     ctx.send(0, kDone, "");
   }
@@ -190,7 +190,9 @@ class Burst final : public Actor {
 
 std::vector<std::string> numbered(std::initializer_list<int> ids) {
   std::vector<std::string> out;
-  for (const int i : ids) out.push_back("d" + std::to_string(i));
+  for (const int i : ids) {
+    out.push_back(std::string("d").append(std::to_string(i)));
+  }
   return out;
 }
 
@@ -203,7 +205,7 @@ TEST_P(RuntimeConformance, FanInKeepsEachSendersOrder) {
   std::vector<std::string> want;
   std::int64_t data_bytes = 0;
   for (int i = 0; i < 50; ++i) {
-    want.push_back("d" + std::to_string(i));
+    want.push_back(std::string("d").append(std::to_string(i)));
     data_bytes += static_cast<std::int64_t>(want.back().size());
   }
   for (int w = 1; w <= 4; ++w) EXPECT_EQ(master.seq[w], want) << "rank " << w;

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/ckpt/journal.h"
@@ -576,6 +577,151 @@ TEST(ShardResume, ByteIdenticalFromEverySegmentBoundary) {
       }
     }
   }
+}
+
+// Start offset and type byte of every valid record of a journal file.
+std::vector<std::pair<std::size_t, JournalRecordType>> journal_records(
+    const std::string& bytes, const JournalReplay& replay) {
+  std::vector<std::pair<std::size_t, JournalRecordType>> out;
+  std::size_t start = 0;
+  for (const std::size_t end : replay.record_offsets) {
+    out.emplace_back(start, static_cast<JournalRecordType>(bytes[start + 4]));
+    start = end;
+  }
+  return out;
+}
+
+bool syncs_on_append(JournalRecordType type) {
+  return type != JournalRecordType::kRegionCommit;
+}
+
+TEST(ShardFarm, JournalSyncsCountsEveryPromiseAndNoRegionCommit) {
+  const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
+  for (const int shards : {1, 2}) {
+    const std::string label = "shards " + std::to_string(shards);
+    for (const bool fsync : {true, false}) {
+      const std::string dir = unique_dir("shard_journal_syncs");
+      FarmConfig config = shard_journal_config(dir, shards);
+      config.journal_fsync = fsync;
+      const FarmResult result = render_farm(scene, config);
+      ASSERT_EQ(result.master.frames_completed, scene.frame_count()) << label;
+      // Header, frame-complete and checkpoint records each made one sync,
+      // in the scheduler journal and in every shard segment alike.
+      std::vector<std::string> paths = {config.journal_path};
+      if (shards > 1) {
+        for (int s = 0; s < shards; ++s) {
+          paths.push_back(shard_journal_path(config.journal_path, s));
+        }
+      }
+      std::uint64_t promises = 0;
+      std::uint64_t region_commits = 0;
+      for (const std::string& path : paths) {
+        const std::string bytes = read_file(path);
+        for (const auto& [start, type] :
+             journal_records(bytes, replay_journal(path))) {
+          if (syncs_on_append(type)) {
+            ++promises;
+          } else {
+            ++region_commits;
+          }
+        }
+      }
+      EXPECT_GT(region_commits, 0u) << label;
+      ASSERT_EQ(result.metrics.counters.count("journal.syncs"), 1u) << label;
+      EXPECT_EQ(result.metrics.counter("journal.syncs"), fsync ? promises : 0)
+          << label << (fsync ? " fsync" : " no fsync");
+    }
+    // Without a journal the counter is not registered at all.
+    FarmConfig plain = shard_config(FarmBackend::kSim, shards);
+    const FarmResult result = render_farm(scene, plain);
+    EXPECT_EQ(result.metrics.counters.count("journal.syncs"), 0u) << label;
+  }
+}
+
+TEST(ShardResume, UnsyncedRegionCommitTailCutAtEveryPointIsByteIdentical) {
+  // Group commit makes a shard segment durable only through its last synced
+  // record (header or frame-complete); a power loss may keep any prefix of
+  // the region commits written after it. The scheduler journal, synced at
+  // each checkpoint, may already count the digests those commits answered
+  // for, so it is left whole. Only the frame files the cut segment still
+  // declares complete are on disk. Every cut point of every such tail must
+  // resume to the clean run's bytes: a frame whose coverage falls short
+  // re-renders wholesale.
+  const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
+  const int kShards = 2;
+  const std::string base = unique_dir("shard_tail_base");
+  FarmConfig base_config = shard_journal_config(base, kShards);
+  base_config.journal_fsync = true;
+  const FarmResult clean = render_farm(scene, base_config);
+  ASSERT_EQ(clean.master.frames_completed, scene.frame_count());
+  const std::string sched_bytes = read_file(base_config.journal_path);
+
+  int cuts_tried = 0;
+  for (int victim = 0; victim < kShards; ++victim) {
+    const std::string path =
+        shard_journal_path(base_config.journal_path, victim);
+    const std::string seg = read_file(path);
+    const JournalReplay full = replay_journal(path);
+    ASSERT_TRUE(full.ok) << full.error;
+    const auto records = journal_records(seg, full);
+    // Cut points: after the last synced record, after each region commit
+    // that follows it, and torn inside each of those region commits.
+    std::vector<std::size_t> cuts;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      if (syncs_on_append(records[i].second)) {
+        cuts.push_back(full.record_offsets[i]);
+        continue;
+      }
+      cuts.push_back(records[i].first + 7);
+      cuts.push_back(full.record_offsets[i]);
+    }
+    for (const std::size_t cut : cuts) {
+      const std::string label =
+          "shard" + std::to_string(victim) + "@cut" + std::to_string(cut);
+      const std::string dir = unique_dir("shard_tail_cut");
+      FarmConfig config = shard_journal_config(dir, kShards);
+      config.journal_fsync = true;
+      write_file(config.journal_path, sched_bytes);
+      for (int s = 0; s < kShards; ++s) {
+        write_file(shard_journal_path(config.journal_path, s),
+                   s == victim ? seg.substr(0, cut)
+                               : read_file(shard_journal_path(
+                                     base_config.journal_path, s)));
+      }
+      const JournalReplay cut_replay =
+          replay_journal(shard_journal_path(config.journal_path, victim));
+      const auto [first, end] =
+          ShardMap{kShards, 3, scene.frame_count()}.range_of(victim);
+      for (int f = 0; f < scene.frame_count(); ++f) {
+        const std::string file = frame_file_path(dir, "frame", f);
+        const bool victim_frame = f >= first && f < end;
+        if (victim_frame && !cut_replay.frame_complete[f]) {
+          std::remove(file.c_str());
+        } else {
+          write_file(file, read_file(frame_file_path(base, "frame", f)));
+        }
+      }
+
+      config.resume = true;
+      const FarmResult result = render_farm(scene, config);
+      ASSERT_TRUE(result.resume.resumed) << label;
+      expect_frames_equal(result.frames, clean.frames, label);
+      for (int f = 0; f < scene.frame_count(); ++f) {
+        EXPECT_EQ(read_file(frame_file_path(dir, "frame", f)),
+                  read_file(frame_file_path(base, "frame", f)))
+            << label << " frame " << f;
+      }
+      const JournalReplay after =
+          replay_journal(shard_journal_path(config.journal_path, victim));
+      ASSERT_TRUE(after.ok) << label << " " << after.error;
+      EXPECT_FALSE(after.truncated_tail) << label;
+      for (int f = first; f < end; ++f) {
+        EXPECT_TRUE(after.frame_complete[f]) << label << " frame " << f;
+      }
+      ++cuts_tried;
+    }
+  }
+  EXPECT_GT(cuts_tried, 2 * kShards);
 }
 
 TEST(ShardResume, MissingSegmentRerendersItsRangeByteIdentically) {

@@ -1,10 +1,11 @@
 // Uniform-subdivision resolution ablation (Glassner 1984 grids underpin
 // both the ray accelerator and the coherence grid).
 //
-// Sweep the coherence-grid resolution: coarse voxels over-invalidate (one
-// dirty voxel drags many pixels), fine voxels cost more marking time and
-// memory. Sweep the accelerator grid separately: pure wall-clock effect,
-// identical images.
+// Sweep the shot lattice: coarse voxels over-invalidate (one dirty voxel
+// drags many pixels), fine voxels cost more marking time and memory. The
+// renderer traces on the lattice it marks, so this sweep moves the tracer's
+// cells too. Sweep a stand-alone accelerator grid separately: pure
+// wall-clock effect, identical images.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -23,7 +24,8 @@ int run(bool quick) {
   params.height = quick ? 120 : 240;
   const AnimatedScene scene = newton_cradle_scene(params);
 
-  std::printf("coherence-grid resolution sweep — Newton, %d frames\n\n",
+  std::printf("lattice resolution sweep (coherence + tracer) — Newton, %d "
+              "frames\n\n",
               scene.frame_count());
   std::printf("%10s %14s %14s %14s %10s %12s\n", "grid", "rays",
               "voxel marks", "recomputed", "total", "marks MB");

@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for the hot inner loops: primitive
-// intersection, segment-box distance and the per-frame accelerator build,
-// DDA grid traversal, coherence marking/collection, the pixel codec, the
-// wire format and the durable frame path (CRC-32, pixel digests, targa
-// encoding).
+// intersection, segment-box distance and the accelerator build, DDA grid
+// traversal, tracing with fused coherence marking, coherence
+// marking/collection, the pixel codec, the wire format and the durable
+// frame path (CRC-32, pixel digests, targa encoding).
 //
 // Shares the bench-suite flag contract: --metrics-out FILE maps onto
 // google-benchmark's JSON reporter, --quick trims the per-benchmark
@@ -242,6 +242,67 @@ void BM_CoherenceWalk(benchmark::State& state) {
       static_cast<double>(state.iterations() * tile.segments.size());
 }
 BENCHMARK(BM_CoherenceWalk)->Unit(benchmark::kMicrosecond);
+
+/// Marks each segment by walking it a second time on the coherence
+/// lattice (RayRecorder::on_segment): the separate walk that fused marking
+/// replaced.
+class WalkAgain final : public RayListener {
+ public:
+  explicit WalkAgain(RayRecorder* recorder) : recorder_(recorder) {}
+  void on_segment(int px, int py, const Ray& ray, double t_end,
+                  RayKind kind) override {
+    recorder_->on_segment(px, py, ray, t_end, kind);
+  }
+
+ private:
+  RayRecorder* recorder_;
+};
+
+// One full 320x240 Newton frame on the shot lattice, as a task's first
+// frame renders it: traced alone (mode 0), traced and marked by walking
+// every segment again (mode 1), and traced with marking fused into the
+// tracer's walk (mode 2). Time is reported per marked cell for all three,
+// so mode 1 - mode 0 and mode 2 - mode 0 are marking's ns per cell.
+void BM_TraceMark(benchmark::State& state) {
+  const int mode = static_cast<int>(state.range(0));
+  const AnimatedScene scene = newton_cradle_scene();
+  const CoherenceOptions defaults;
+  const VoxelGrid lattice = VoxelGrid::heuristic(
+      animation_extent(scene), scene.object_count(), defaults.grid_density,
+      defaults.grid_max_axis);
+  const World world = scene.world_at(0);
+  const UniformGridAccelerator accel(world, lattice);
+  const PixelRect full{0, 0, scene.width(), scene.height()};
+  CoherenceGrid grid(lattice, full);
+  RayRecorder recorder(&grid);
+  WalkAgain walk_again(&recorder);
+  Framebuffer fb(scene.width(), scene.height());
+  std::uint64_t marks_per_frame = 0;
+  {
+    Tracer tracer(world, accel);
+    tracer.set_listener(&recorder);
+    render_region(&tracer, &fb, full);
+    marks_per_frame = recorder.stats().voxels_visited;
+  }
+  for (auto _ : state) {
+    grid.reset();
+    Tracer tracer(world, accel);
+    if (mode == 1) tracer.set_listener(&walk_again);
+    if (mode == 2) tracer.set_listener(&recorder);
+    benchmark::DoNotOptimize(render_region(&tracer, &fb, full));
+  }
+  state.counters["per_mark"] = benchmark::Counter(
+      static_cast<double>(marks_per_frame),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.counters["marks"] = static_cast<double>(marks_per_frame);
+}
+BENCHMARK(BM_TraceMark)
+    ->ArgName("mode")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 // Change detection's lookup: the tile's frame-0 marks against its frame
 // 0 -> 1 dirty voxels, as an incremental frame collects them.

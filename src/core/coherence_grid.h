@@ -56,6 +56,9 @@ struct CoherenceGridStats {
 };
 
 class CoherenceGrid {
+  struct Slot;
+  struct Band;
+
  public:
   /// Region rows per arena band: the unit a render thread owns.
   static constexpr int kBandRows = 4;
@@ -76,6 +79,23 @@ class CoherenceGrid {
   /// The pixel is about to be recomputed: drop its marks and open it on
   /// `lane` for the new ones.
   void begin_pixel(int x, int y, int lane = 0);
+
+  /// mark() for a run of cells of one pixel, with the pixel lookup done
+  /// once: marker(x, y, lane).mark(cell) is mark(cell, x, y, lane). Valid
+  /// until the lane marks another pixel.
+  class PixelMarker {
+   public:
+    void mark(std::uint32_t cell);
+
+   private:
+    friend class CoherenceGrid;
+    PixelMarker(CoherenceGrid* grid, std::uint32_t pixel, int lane);
+    std::uint32_t* stamp_;
+    std::uint32_t serial_;
+    Slot* slot_;
+    Band* band_;
+  };
+  PixelMarker marker(int x, int y, int lane = 0);
 
   /// Forget everything (used when a full re-render invalidates all state).
   void reset();
@@ -124,7 +144,7 @@ class CoherenceGrid {
                                       (x - region_.x0));
   }
   void open_pixel(Lane& lane, std::uint32_t pixel);
-  void append(Slot& slot, Band& band, std::uint32_t cell);
+  static void append(Slot& slot, Band& band, std::uint32_t cell);
   void compact_band(std::size_t b);
 
   VoxelGrid grid_;
@@ -138,15 +158,31 @@ class CoherenceGrid {
   std::int64_t fixed_bytes_ = 0;
 };
 
-inline void CoherenceGrid::mark(int cell, int x, int y, int lane) {
+inline CoherenceGrid::PixelMarker::PixelMarker(CoherenceGrid* grid,
+                                               std::uint32_t pixel, int lane) {
+  Lane& l = grid->lanes_[static_cast<std::size_t>(lane)];
+  if (pixel != l.pixel) grid->open_pixel(l, pixel);
+  stamp_ = l.stamp.data();
+  serial_ = l.serial;
+  slot_ = &grid->slots_[pixel];
+  band_ = &grid->bands_[l.band];
+}
+
+inline CoherenceGrid::PixelMarker CoherenceGrid::marker(int x, int y,
+                                                        int lane) {
   assert(region_.contains(x, y));
-  Lane& l = lanes_[static_cast<std::size_t>(lane)];
-  const std::uint32_t pixel = local_index(x, y);
-  if (pixel != l.pixel) open_pixel(l, pixel);
-  std::uint32_t& stamp = l.stamp[static_cast<std::size_t>(cell)];
-  if (stamp == l.serial) return;
-  stamp = l.serial;
-  append(slots_[pixel], bands_[l.band], static_cast<std::uint32_t>(cell));
+  return PixelMarker(this, local_index(x, y), lane);
+}
+
+inline void CoherenceGrid::PixelMarker::mark(std::uint32_t cell) {
+  std::uint32_t& stamp = stamp_[cell];
+  if (stamp == serial_) return;
+  stamp = serial_;
+  append(*slot_, *band_, cell);
+}
+
+inline void CoherenceGrid::mark(int cell, int x, int y, int lane) {
+  marker(x, y, lane).mark(static_cast<std::uint32_t>(cell));
 }
 
 inline void CoherenceGrid::append(Slot& slot, Band& band, std::uint32_t cell) {

@@ -29,15 +29,15 @@ CoherentRenderer::CoherentRenderer(const AnimatedScene& scene,
     : scene_(scene),
       region_(region),
       options_(options),
-      threads_(resolve_thread_count(options.threads)) {
-  const VoxelGrid voxels =
-      options_.grid_override.has_value()
-          ? *options_.grid_override
-          : VoxelGrid::heuristic(animation_extent(scene), scene.object_count(),
-                                 options_.grid_density,
-                                 options_.grid_max_axis);
+      threads_(resolve_thread_count(options.threads)),
+      lattice_(options_.grid_override.has_value()
+                   ? *options_.grid_override
+                   : VoxelGrid::heuristic(animation_extent(scene),
+                                          scene.object_count(),
+                                          options_.grid_density,
+                                          options_.grid_max_axis)) {
   if (options_.enabled) {
-    grid_ = std::make_unique<CoherenceGrid>(voxels, region, threads_);
+    grid_ = std::make_unique<CoherenceGrid>(lattice_, region, threads_);
     recorder_ = std::make_unique<RayRecorder>(grid_.get(),
                                               options_.record_shadow_rays);
   }
@@ -55,7 +55,11 @@ CoherentRenderer::CoherentRenderer(const AnimatedScene& scene,
 
 void CoherentRenderer::rebuild_frame_state(int frame) {
   world_ = scene_.world_at(frame);
-  accel_ = std::make_unique<UniformGridAccelerator>(world_);
+  accel_ = std::make_unique<UniformGridAccelerator>(world_, lattice_);
+  reset_tracer();
+}
+
+void CoherentRenderer::reset_tracer() {
   tracer_ = std::make_unique<Tracer>(world_, *accel_, options_.trace);
   tracer_->set_listener(recorder_.get());
 }
@@ -214,11 +218,17 @@ FrameRenderResult CoherentRenderer::incremental_render(int frame,
   if (options_.block_size > 0) expand_to_blocks(&result.recomputed);
 
   // 3. Advance to the new frame's geometry and recompute only those pixels.
+  // The accelerator references world_: with the lattice fixed for the
+  // shot, only the moved objects change cells. An all_dirty frame (a
+  // moved plane) re-renders everything, so it takes a fresh build.
   const std::uint64_t marks_before = recorder_->stats().voxels_visited;
   world_ = std::move(next);
-  accel_ = std::make_unique<UniformGridAccelerator>(world_);
-  tracer_ = std::make_unique<Tracer>(world_, *accel_, options_.trace);
-  tracer_->set_listener(recorder_.get());
+  if (dirty.all_dirty) {
+    accel_ = std::make_unique<UniformGridAccelerator>(world_, lattice_);
+  } else {
+    accel_->update(changed);
+  }
+  reset_tracer();
 
   if (threads_ > 1) {
     render_pixels_parallel(&result.recomputed, fb, &result);

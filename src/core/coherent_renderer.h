@@ -16,6 +16,13 @@
 // full render; subsequent consecutive frames recompute only predicted-dirty
 // pixels. Output is guaranteed byte-identical to a from-scratch render.
 //
+// One lattice serves the whole shot, as in the paper: the coherence grid's
+// voxels are also the ray accelerator's cells, with coherence on or off.
+// The tracer's own 3D-DDA walk marks each ray (see RayRecorder), and
+// between consecutive frames the accelerator moves only the objects that
+// moved instead of being rebuilt. A restart or an all-dirty frame builds
+// it fresh, on the same lattice.
+//
 // Granularity is per pixel. Setting `block_size > 0` switches to the
 // Jevans-1992 baseline the paper contrasts against: "if one pixel in the
 // block needs to be updated, all pixels in the block are re-computed."
@@ -63,11 +70,13 @@ struct CoherenceOptions {
   /// reproducible).
   int threads = 0;
 
-  /// Coherence-grid resolution heuristic inputs (see VoxelGrid::heuristic).
+  /// Lattice resolution heuristic inputs (see VoxelGrid::heuristic). The
+  /// lattice holds the coherence marks and the accelerator's cells.
   double grid_density = 3.0;
   int grid_max_axis = 64;
 
-  /// Explicit coherence grid override (resolution-sweep benchmarks).
+  /// Explicit lattice override (resolution-sweep benchmarks); it moves the
+  /// tracer's cells along with the coherence voxels.
   std::optional<VoxelGrid> grid_override;
 
   /// Optional metrics sink: per-frame coherence counters (coherence.*) are
@@ -128,6 +137,10 @@ class CoherentRenderer {
   CoherenceGridStats coherence_stats() const {
     return grid_ != nullptr ? grid_->stats() : CoherenceGridStats{};
   }
+  /// The shot lattice the accelerator and the marks share.
+  const VoxelGrid& lattice() const { return lattice_; }
+  /// The accelerator over the last rendered frame (valid after a frame).
+  const UniformGridAccelerator& accelerator() const { return *accel_; }
   /// Resolved render-thread count (>= 1).
   int thread_count() const { return threads_; }
 
@@ -138,7 +151,10 @@ class CoherentRenderer {
  private:
   FrameRenderResult full_render(Framebuffer* fb);
   FrameRenderResult incremental_render(int frame, Framebuffer* fb);
+  /// Restart on `frame`: its world and a fresh accelerator build.
   void rebuild_frame_state(int frame);
+  /// A tracer (stats at zero) over world_ and accel_, marking when enabled.
+  void reset_tracer();
   void expand_to_blocks(PixelMask* mask) const;
 
   /// Shade the region's pixels (those in `mask`, or all when null) on the
@@ -150,6 +166,9 @@ class CoherentRenderer {
   PixelRect region_;
   CoherenceOptions options_;
   int threads_ = 1;
+  /// The shot's one lattice: coherence marks and the accelerator both use
+  /// it, with coherence on or off.
+  VoxelGrid lattice_;
 
   // Both null when coherence is disabled.
   std::unique_ptr<CoherenceGrid> grid_;
@@ -173,8 +192,10 @@ class CoherentRenderer {
   Counter* metric_dirty_voxels_ = nullptr;
 
   int last_frame_ = -1;
-  World world_;                                   // world of last_frame_
-  std::unique_ptr<UniformGridAccelerator> accel_; // accel over world_
+  World world_;  // world of last_frame_
+  /// Over world_ on lattice_; built on a restart, updated in place between
+  /// consecutive frames.
+  std::unique_ptr<UniformGridAccelerator> accel_;
   std::unique_ptr<Tracer> tracer_;
 };
 

@@ -1,9 +1,13 @@
 // Uniform spatial subdivision: the voxel lattice shared by the grid ray
-// accelerator and the frame-coherence grid (the paper uses one uniform
-// subdivision of object space for both acceleration and coherence marking).
+// accelerator and the frame-coherence grid. As in the paper, one uniform
+// subdivision of object space serves both: CoherentRenderer builds its
+// accelerator on the coherence lattice, so the walk that traces a ray is
+// the walk that marks it.
 //
-// Traversal is the Amanatides & Woo 3D-DDA; the paper's "modified 3D-DDA"
-// corresponds to walk() clipped to a ray segment [t_min, t_end].
+// Traversal is the Amanatides & Woo 3D-DDA, kept as a resumable state
+// (Dda): a walk can stop at a cell and continue later under a new limit.
+// The paper's "modified 3D-DDA" is that walk clipped to a ray segment
+// [0, t_end]; walk() is a thin loop over the state.
 #pragma once
 
 #include <cassert>
@@ -69,58 +73,103 @@ class VoxelGrid {
     return true;
   }
 
+  /// Resumable 3D-DDA state: the current cell, the parameter at which the
+  /// ray enters it, and where each axis next crosses a cell face. A later
+  /// cell is entered only when its entry parameter lies below `t_exit`.
+  struct Dda {
+    int cell[3];
+    int step[3];
+    double t_next[3];
+    double t_delta[3];
+    double t = 0.0;       // entry parameter of the current cell
+    double t_far = 0.0;   // where the range given to begin() leaves the grid
+    double t_exit = 0.0;  // clip: min(t_far, the latest limit)
+
+    int exit_axis() const {
+      int axis = t_next[1] < t_next[0] ? 1 : 0;
+      if (t_next[2] < t_next[axis]) axis = 2;
+      return axis;
+    }
+    /// Exit parameter of the current cell, clipped.
+    double cell_exit() const {
+      const double t_axis = t_next[exit_axis()];
+      return t_axis < t_exit ? t_axis : t_exit;
+    }
+    /// Clip the rest of the walk at `limit` (never beyond the grid).
+    void clip(double limit) { t_exit = limit < t_far ? limit : t_far; }
+  };
+
+  /// Start a walk of ray parameters [t_min, t_max] at its first cell.
+  /// Returns false when the range misses the grid.
+  bool begin(const Ray& ray, double t_min, double t_max, Dda* d) const {
+    double t_enter, t_exit;
+    if (!bounds_.intersect(ray, t_min, t_max, &t_enter, &t_exit)) return false;
+
+    // Start cell: nudge inside to avoid landing exactly on a face.
+    const double t_start = t_enter + 1e-12 * (1.0 + std::fabs(t_enter));
+    locate(ray.at(t_start), &d->cell[0], &d->cell[1], &d->cell[2]);
+
+    for (int axis = 0; axis < 3; ++axis) {
+      const double dir = ray.direction[axis];
+      if (dir > 0.0) {
+        d->step[axis] = 1;
+        const double edge =
+            bounds_.lo[axis] + (d->cell[axis] + 1) * cell_size_[axis];
+        d->t_next[axis] = (edge - ray.origin[axis]) / dir;
+        d->t_delta[axis] = cell_size_[axis] / dir;
+      } else if (dir < 0.0) {
+        d->step[axis] = -1;
+        const double edge = bounds_.lo[axis] + d->cell[axis] * cell_size_[axis];
+        d->t_next[axis] = (edge - ray.origin[axis]) / dir;
+        d->t_delta[axis] = -cell_size_[axis] / dir;
+      } else {
+        d->step[axis] = 0;
+        d->t_next[axis] = kRayInfinity;
+        d->t_delta[axis] = kRayInfinity;
+      }
+    }
+    d->t = t_enter;
+    d->t_far = t_exit;
+    d->t_exit = t_exit;
+    return true;
+  }
+
+  /// Step to the next cell. Returns false, leaving `d` at the current cell,
+  /// when the next cell is entered at or after the clip or lies outside the
+  /// grid; a later clip() at a larger limit can then resume the walk.
+  bool next(Dda* d) const {
+    const int axis = d->exit_axis();
+    if (d->t_next[axis] >= d->t_exit) return false;
+    const int c = d->cell[axis] + d->step[axis];
+    const int n = axis == 0 ? nx_ : (axis == 1 ? ny_ : nz_);
+    if (c < 0 || c >= n) return false;  // left the grid
+    d->t = d->t_next[axis];
+    d->cell[axis] = c;
+    d->t_next[axis] += d->t_delta[axis];
+    return true;
+  }
+
+  int cell_index(const Dda& d) const {
+    return cell_index(d.cell[0], d.cell[1], d.cell[2]);
+  }
+
   /// Walk the cells pierced by ray parameter range [t_min, t_max] in order.
   /// Visitor signature: bool(int ix, int iy, int iz, double t_enter,
   /// double t_exit); returning false stops the walk early.
   template <typename Visitor>
   void walk(const Ray& ray, double t_min, double t_max, Visitor&& visit) const {
-    double t_enter, t_exit;
-    if (!bounds_.intersect(ray, t_min, t_max, &t_enter, &t_exit)) return;
+    Dda d;
+    if (!begin(ray, t_min, t_max, &d)) return;
+    do {
+      if (!visit(d.cell[0], d.cell[1], d.cell[2], d.t, d.cell_exit())) return;
+    } while (next(&d));
+  }
 
-    // Start cell: nudge inside to avoid landing exactly on a face.
-    const double t_start = t_enter + 1e-12 * (1.0 + std::fabs(t_enter));
-    int cell[3];
-    locate(ray.at(t_start), &cell[0], &cell[1], &cell[2]);
-
-    const int n[3] = {nx_, ny_, nz_};
-    int step[3];
-    double t_next[3];
-    double t_delta[3];
-    for (int axis = 0; axis < 3; ++axis) {
-      const double d = ray.direction[axis];
-      if (d > 0.0) {
-        step[axis] = 1;
-        const double edge = bounds_.lo[axis] + (cell[axis] + 1) * cell_size_[axis];
-        t_next[axis] = (edge - ray.origin[axis]) / d;
-        t_delta[axis] = cell_size_[axis] / d;
-      } else if (d < 0.0) {
-        step[axis] = -1;
-        const double edge = bounds_.lo[axis] + cell[axis] * cell_size_[axis];
-        t_next[axis] = (edge - ray.origin[axis]) / d;
-        t_delta[axis] = -cell_size_[axis] / d;
-      } else {
-        step[axis] = 0;
-        t_next[axis] = kRayInfinity;
-        t_delta[axis] = kRayInfinity;
-      }
-    }
-
-    double t = t_enter;
-    for (;;) {
-      // Exit parameter of the current cell.
-      int exit_axis = 0;
-      if (t_next[1] < t_next[exit_axis]) exit_axis = 1;
-      if (t_next[2] < t_next[exit_axis]) exit_axis = 2;
-      const double cell_exit = t_next[exit_axis] < t_exit ? t_next[exit_axis] : t_exit;
-
-      if (!visit(cell[0], cell[1], cell[2], t, cell_exit)) return;
-
-      if (t_next[exit_axis] >= t_exit) return;  // left the t range
-      t = t_next[exit_axis];
-      cell[exit_axis] += step[exit_axis];
-      if (cell[exit_axis] < 0 || cell[exit_axis] >= n[exit_axis]) return;
-      t_next[exit_axis] += t_delta[exit_axis];
-    }
+  /// Same lattice: equal bounds and resolution. Cheap enough to check per
+  /// ray segment.
+  friend bool operator==(const VoxelGrid& a, const VoxelGrid& b) {
+    return a.nx_ == b.nx_ && a.ny_ == b.ny_ && a.nz_ == b.nz_ &&
+           a.bounds_.lo == b.bounds_.lo && a.bounds_.hi == b.bounds_.hi;
   }
 
  private:

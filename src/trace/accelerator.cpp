@@ -3,7 +3,9 @@
 namespace now {
 
 bool BruteForceAccelerator::closest_hit(const Ray& ray, double t_min,
-                                        double t_max, Hit* hit) const {
+                                        double t_max, Hit* hit,
+                                        CellTrail* trail) const {
+  if (trail != nullptr) trail->reset(nullptr);
   bool found = false;
   double nearest = t_max;
   for (int i = 0; i < world_.object_count(); ++i) {
@@ -19,7 +21,8 @@ bool BruteForceAccelerator::closest_hit(const Ray& ray, double t_min,
 }
 
 bool BruteForceAccelerator::any_hit(const Ray& ray, double t_min, double t_max,
-                                    Hit* hit) const {
+                                    Hit* hit, CellTrail* trail) const {
+  if (trail != nullptr) trail->reset(nullptr);
   for (int i = 0; i < world_.object_count(); ++i) {
     Hit h;
     if (world_.object(i).primitive->intersect(ray, t_min, t_max, &h)) {

@@ -59,7 +59,8 @@ int BvhAccelerator::build(std::vector<int>& objs, int begin, int end,
 }
 
 bool BvhAccelerator::closest_hit(const Ray& ray, double t_min, double t_max,
-                                 Hit* hit) const {
+                                 Hit* hit, CellTrail* trail) const {
+  if (trail != nullptr) trail->reset(nullptr);
   double nearest = t_max;
   bool found = false;
   for (const int i : unbounded_) {
@@ -102,7 +103,8 @@ bool BvhAccelerator::closest_in_node(int node_index, const Ray& ray,
 }
 
 bool BvhAccelerator::any_hit(const Ray& ray, double t_min, double t_max,
-                             Hit* hit) const {
+                             Hit* hit, CellTrail* trail) const {
+  if (trail != nullptr) trail->reset(nullptr);
   for (const int i : unbounded_) {
     Hit h;
     if (world_.object(i).primitive->intersect(ray, t_min, t_max, &h)) {

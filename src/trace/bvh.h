@@ -15,10 +15,10 @@ class BvhAccelerator final : public Accelerator {
  public:
   explicit BvhAccelerator(const World& world, int leaf_size = 2);
 
-  bool closest_hit(const Ray& ray, double t_min, double t_max,
-                   Hit* hit) const override;
-  bool any_hit(const Ray& ray, double t_min, double t_max,
-               Hit* hit) const override;
+  bool closest_hit(const Ray& ray, double t_min, double t_max, Hit* hit,
+                   CellTrail* trail = nullptr) const override;
+  bool any_hit(const Ray& ray, double t_min, double t_max, Hit* hit,
+               CellTrail* trail = nullptr) const override;
   const char* name() const override { return "bvh"; }
 
   int node_count() const { return static_cast<int>(nodes_.size()); }

@@ -41,14 +41,15 @@ Color Tracer::trace(const Ray& ray, int depth, double weight, int px, int py,
   }
 
   Hit hit;
-  if (!accel_.closest_hit(ray, kRayEpsilon, kRayInfinity, &hit)) {
+  CellTrail* const trail = listener_ != nullptr ? &trail_ : nullptr;
+  if (!accel_.closest_hit(ray, kRayEpsilon, kRayInfinity, &hit, trail)) {
     if (listener_ != nullptr) {
-      listener_->on_segment(px, py, ray, kRayInfinity, kind);
+      listener_->on_traced_segment(px, py, ray, kRayInfinity, kind, trail_);
     }
     return world_.background();
   }
   if (listener_ != nullptr) {
-    listener_->on_segment(px, py, ray, hit.t, kind);
+    listener_->on_traced_segment(px, py, ray, hit.t, kind, trail_);
   }
   return shade_hit(hit, ray, depth, weight, px, py);
 }
@@ -144,15 +145,16 @@ Color Tracer::direct_light(const Light& light, const Hit& hit, const Ray& ray,
     const Ray shadow_ray{hit.point + hit.normal * kRayEpsilon, to_light};
     Hit blocker;
     const double max_t = light_dist - 2.0 * kRayEpsilon;
-    const bool blocked =
-        accel_.any_hit(shadow_ray, kRayEpsilon, max_t, &blocker);
+    const bool blocked = accel_.any_hit(
+        shadow_ray, kRayEpsilon, max_t, &blocker,
+        listener_ != nullptr ? &trail_ : nullptr);
     if (listener_ != nullptr) {
       // Mark up to the blocker: an occluder moving out of the traversed
       // span, or any object moving into it, can change this pixel. Objects
       // beyond the blocker cannot.
-      listener_->on_segment(px, py, shadow_ray,
-                            blocked ? blocker.t : light_dist,
-                            RayKind::kShadow);
+      listener_->on_traced_segment(px, py, shadow_ray,
+                                   blocked ? blocker.t : light_dist,
+                                   RayKind::kShadow, trail_);
     }
     if (blocked) return Color::black();
   }

@@ -7,9 +7,11 @@
 //
 // Every traced ray segment — camera, reflected, refracted and shadow — is
 // reported to an optional RayListener together with the pixel that spawned
-// it. The frame-coherence recorder (src/core) is such a listener: it walks
-// each segment through the coherence voxel grid and appends the pixel to the
-// pixel list of every voxel traversed (Figure 3 of the paper).
+// it and the lattice walk the accelerator made for it (CellTrail). The
+// frame-coherence recorder (src/core) is such a listener: it appends the
+// pixel to the pixel list of every voxel the segment traverses (Figure 3 of
+// the paper), taking the cells the trace already walked from the trail and
+// walking on only past them — one 3D-DDA per segment, not two.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +49,12 @@ class RayListener {
   virtual ~RayListener() = default;
   virtual void on_segment(int px, int py, const Ray& ray, double t_end,
                           RayKind kind) = 0;
+  /// The tracer's entry point: the segment plus the walk the accelerator
+  /// made for it. The default ignores the walk.
+  virtual void on_traced_segment(int px, int py, const Ray& ray, double t_end,
+                                 RayKind kind, const CellTrail& /*trail*/) {
+    on_segment(px, py, ray, t_end, kind);
+  }
 };
 
 struct TraceOptions {
@@ -96,6 +104,9 @@ class Tracer {
   const Accelerator& accel_;
   TraceOptions options_;
   RayListener* listener_ = nullptr;
+  /// The walk of the latest query, recorded only while a listener is set
+  /// and handed to it before the next query.
+  CellTrail trail_;
   TraceStats stats_;
 };
 

@@ -2,8 +2,14 @@
 // era of tracers and referenced by the paper).
 //
 // Bounded primitives are rasterized into grid cells with their conservative
-// overlaps_box() tests; unbounded primitives (planes) live on a side list
-// tested for every ray.
+// overlaps_box() tests, each cell listing its objects in ascending world
+// order; unbounded primitives (planes), and any object not inside the
+// lattice, live on a side list tested for every ray.
+//
+// Queries walk the lattice from ray parameter 0 and can hand that walk to a
+// coherence marker (CellTrail). CoherentRenderer builds the accelerator once
+// per shot on its coherence lattice and, between consecutive frames, moves
+// only the objects that moved (update()) instead of rebuilding.
 #pragma once
 
 #include <vector>
@@ -20,30 +26,55 @@ class UniformGridAccelerator final : public Accelerator {
   explicit UniformGridAccelerator(const World& world, double density = 3.0,
                                   int max_axis = 128);
 
-  /// Build with an explicit grid (used by resolution-sweep benchmarks).
+  /// Build on an explicit lattice (the coherence lattice, or a resolution
+  /// sweep's).
   UniformGridAccelerator(const World& world, const VoxelGrid& grid);
 
-  bool closest_hit(const Ray& ray, double t_min, double t_max,
-                   Hit* hit) const override;
-  bool any_hit(const Ray& ray, double t_min, double t_max,
-               Hit* hit) const override;
+  bool closest_hit(const Ray& ray, double t_min, double t_max, Hit* hit,
+                   CellTrail* trail = nullptr) const override;
+  bool any_hit(const Ray& ray, double t_min, double t_max, Hit* hit,
+               CellTrail* trail = nullptr) const override;
   const char* name() const override { return "uniform-grid"; }
 
+  /// The referenced world now holds another frame of the same scene (same
+  /// objects, same order); the objects at world indices `moved` changed.
+  /// Moves each from its old footprint to its new one, leaving every list
+  /// equal to a fresh build's. Scene-built worlds index objects by scene
+  /// id, so AnimatedScene::changed_objects can be passed as is.
+  void update(const std::vector<int>& moved);
+
   const VoxelGrid& grid() const { return grid_; }
+  /// Object indices listed in cell `cell`, ascending.
+  const std::vector<int>& cell_objects(int cell) const { return cells_[cell]; }
+  /// Object indices tested for every ray, ascending.
+  const std::vector<int>& unbounded_objects() const { return unbounded_; }
   std::int64_t total_cell_entries() const;
 
  private:
+  /// Inclusive cell range an object was rasterized over; `ix0 < 0` when it
+  /// sits on the side list instead.
+  struct Footprint {
+    int ix0 = -1, iy0 = 0, iz0 = 0, ix1 = 0, iy1 = 0, iz1 = 0;
+  };
+
   void build();
+  /// Rasterize object `i` into the cells (or the side list), inserting it in
+  /// ascending order unless `append`, which a build in index order may use.
+  void place(int i, bool append);
+  void unplace(int i);
   /// Test the objects of one cell; keeps the nearest hit under `nearest`.
   bool test_cell(int cell, const Ray& ray, double t_min, double& nearest,
                  Hit* hit) const;
   bool test_unbounded(const Ray& ray, double t_min, double& nearest,
                       Hit* hit) const;
+  /// Start a trail's walk at the lattice's first cell along `ray` from 0.
+  bool begin_walk(const Ray& ray, VoxelGrid::Dda* d, CellTrail* trail) const;
 
   const World& world_;
   VoxelGrid grid_;
   std::vector<std::vector<int>> cells_;  // object indices per cell
   std::vector<int> unbounded_;           // object indices of planes etc.
+  std::vector<Footprint> footprints_;    // per object index
 };
 
 }  // namespace now

@@ -10,7 +10,6 @@
 #include "src/fault/chaos.h"
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <fstream>
 #include <set>
@@ -23,20 +22,10 @@
 #include "src/par/render_farm.h"
 #include "src/par/serial.h"
 #include "src/scene/builtin_scenes.h"
+#include "tests/test_tmp.h"
 
 namespace now {
 namespace {
-
-std::string unique_dir(const std::string& stem) {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir();
-  if (!dir.empty() && dir.back() == '/') dir.pop_back();
-  dir += "/" + stem + "_" +
-         std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-         "_" + std::to_string(counter++);
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -183,7 +172,7 @@ void run_soak_seed(std::uint64_t seed, int shards) {
   FarmConfig config = soak_config(shards);
   config.fault_plan = plan;
   if (shards > 1) {
-    const std::string dir = unique_dir("chaos_soak");
+    const std::string dir = test_tmp_subdir("chaos_soak");
     config.output_dir = dir;
     config.output_prefix = "frame";
     config.journal_path = dir + "/render.journal";
@@ -248,7 +237,7 @@ TEST(ShardFailover, KilledShardIsDetectedRolledBackAndRebuilt) {
   // only after the liveness lease has declared the death (lease 8s + grace
   // 3s < 20s), so the detect → rollback → hold → rebuild → re-dispatch path
   // runs end to end.
-  const std::string dir = unique_dir("shard_failover");
+  const std::string dir = test_tmp_subdir("shard_failover");
   FarmConfig config = shard_failover_config(dir);
   config.fault_plan.events.push_back(FaultPlan::crash_after_frames(4, 2));
   config.fault_plan.events.push_back(FaultPlan::rejoin_after_crash(4, 20.0));
@@ -269,7 +258,7 @@ TEST(ShardFailover, RejoinBeforeDetectionStillRecovers) {
   // expires. Its Hello arrives while the scheduler still believes it alive;
   // the scheduler must roll the shard back anyway (its memory is gone) and
   // the run must stay byte-identical.
-  const std::string dir = unique_dir("shard_fast_rejoin");
+  const std::string dir = test_tmp_subdir("shard_fast_rejoin");
   FarmConfig config = shard_failover_config(dir);
   config.fault_plan.events.push_back(FaultPlan::crash_after_frames(5, 1));
   config.fault_plan.events.push_back(FaultPlan::rejoin_after_crash(5, 1.0));
@@ -287,7 +276,7 @@ TEST(ShardFailover, FailoverAtEveryCommitBoundaryIsByteIdentical) {
   // durable (journaled, completed) versus rolled-back (re-rendered) frames.
   for (int k = 1; k <= 5; ++k) {
     SCOPED_TRACE("kill after digest " + std::to_string(k));
-    const std::string dir = unique_dir("shard_boundary");
+    const std::string dir = test_tmp_subdir("shard_boundary");
     FarmConfig config = shard_failover_config(dir);
     config.fault_plan.events.push_back(FaultPlan::crash_after_frames(4, k));
     config.fault_plan.events.push_back(FaultPlan::rejoin_after_crash(4, 20.0));
@@ -305,7 +294,7 @@ TEST(ShardFailover, TcpKilledShardRebuildsAndCompletes) {
   // re-dials rank 0, rebuilds from its journal segment, and the farm
   // finishes byte-identical to the serial reference.
   const AnimatedScene scene = orbit_scene(2, 9, 40, 30);
-  const std::string dir = unique_dir("tcp_shard_kill");
+  const std::string dir = test_tmp_subdir("tcp_shard_kill");
   FarmConfig config;
   config.backend = FarmBackend::kTcp;
   config.workers = 3;
@@ -354,13 +343,13 @@ FarmConfig scheduler_journal_config(const std::string& dir) {
 
 TEST(SchedulerRestart, KillAtAnyVirtualTimeThenResumeIsByteIdentical) {
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
-  const std::string base = unique_dir("sched_base");
+  const std::string base = test_tmp_subdir("sched_base");
   const FarmResult clean = render_farm(scene, scheduler_journal_config(base));
   ASSERT_EQ(clean.master.frames_completed, scene.frame_count());
 
   for (const double kill_time : {1.0, 3.0, 6.0, 12.0}) {
     SCOPED_TRACE("scheduler killed at t=" + std::to_string(kill_time));
-    const std::string dir = unique_dir("sched_kill");
+    const std::string dir = test_tmp_subdir("sched_kill");
     FarmConfig config = scheduler_journal_config(dir);
     config.fault_plan.events.push_back(FaultPlan::crash_at(0, kill_time));
     const FarmResult partial = render_farm(scene, config);
@@ -391,7 +380,7 @@ TEST(SchedulerRestart, ResumeRestoresFromEveryCheckpointInterval) {
   // byte-identical either way.
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
   for (const int interval : {1, 3}) {
-    const std::string base = unique_dir("ckpt_int_base");
+    const std::string base = test_tmp_subdir("ckpt_int_base");
     FarmConfig base_config = scheduler_journal_config(base);
     base_config.journal_checkpoint_every = interval;
     const FarmResult clean = render_farm(scene, base_config);
@@ -407,7 +396,7 @@ TEST(SchedulerRestart, ResumeRestoresFromEveryCheckpointInterval) {
       const std::size_t cut = full.record_offsets[i];
       SCOPED_TRACE("interval " + std::to_string(interval) + " cut@" +
                    std::to_string(cut));
-      const std::string dir = unique_dir("ckpt_int_cut");
+      const std::string dir = test_tmp_subdir("ckpt_int_cut");
       write_file(dir + "/render.journal", journal_bytes.substr(0, cut));
       for (int f = 0; f < scene.frame_count(); ++f) {
         write_file(frame_file_path(dir, "frame", f),

@@ -16,22 +16,10 @@
 #include "src/image/image_io.h"
 #include "src/math/rng.h"
 #include "src/net/crc32.h"
+#include "tests/test_tmp.h"
 
 namespace now {
 namespace {
-
-std::string test_dir() {
-  std::string dir = ::testing::TempDir();
-  if (!dir.empty() && dir.back() == '/') dir.pop_back();
-  return dir;
-}
-
-std::string unique_path(const std::string& stem) {
-  static int counter = 0;
-  return test_dir() + "/" + stem + "_" +
-         std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-         "_" + std::to_string(counter++);
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -146,7 +134,7 @@ RegionCommitRecord sample_commit(int frame) {
 }
 
 TEST(Journal, RoundTripAllRecordTypes) {
-  const std::string path = unique_path("journal_roundtrip");
+  const std::string path = test_tmp_path("journal_roundtrip");
   JournalOptions opts;
   opts.fsync = false;
   {
@@ -203,11 +191,10 @@ TEST(Journal, RoundTripAllRecordTypes) {
   EXPECT_EQ(r.last_checkpoint->in_flight[0].next_expected, 2);
   EXPECT_EQ(r.record_offsets.size(), 5u);
   EXPECT_EQ(r.record_offsets.back(), r.valid_bytes);
-  std::remove(path.c_str());
 }
 
 TEST(Journal, CheckpointV2TrailerRoundTripsSchedulerState) {
-  const std::string path = unique_path("journal_ckpt_v2");
+  const std::string path = test_tmp_path("journal_ckpt_v2");
   JournalOptions opts;
   opts.fsync = false;
   {
@@ -243,11 +230,10 @@ TEST(Journal, CheckpointV2TrailerRoundTripsSchedulerState) {
   EXPECT_TRUE(r.last_checkpoint->stragglers[0].flagged);
   EXPECT_EQ(r.last_checkpoint->stragglers[1].worker, 2);
   EXPECT_FALSE(r.last_checkpoint->stragglers[1].flagged);
-  std::remove(path.c_str());
 }
 
 TEST(Journal, TornTailIsIgnoredAtEveryTruncationPoint) {
-  const std::string path = unique_path("journal_torn");
+  const std::string path = test_tmp_path("journal_torn");
   JournalOptions opts;
   opts.fsync = false;
   {
@@ -282,11 +268,10 @@ TEST(Journal, TornTailIsIgnoredAtEveryTruncationPoint) {
     }
     std::remove(cut_path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST(Journal, CorruptMiddleRecordTruncatesReplayThere) {
-  const std::string path = unique_path("journal_corrupt");
+  const std::string path = test_tmp_path("journal_corrupt");
   JournalOptions opts;
   opts.fsync = false;
   {
@@ -304,11 +289,10 @@ TEST(Journal, CorruptMiddleRecordTruncatesReplayThere) {
   EXPECT_EQ(r.commits.size(), 1u);
   EXPECT_TRUE(r.truncated_tail);
   EXPECT_EQ(r.valid_bytes, full.record_offsets[1]);
-  std::remove(path.c_str());
 }
 
 TEST(Journal, ResumeTruncatesTornTailAndAppends) {
-  const std::string path = unique_path("journal_resume");
+  const std::string path = test_tmp_path("journal_resume");
   JournalOptions opts;
   opts.fsync = false;
   {
@@ -338,11 +322,10 @@ TEST(Journal, ResumeTruncatesTornTailAndAppends) {
   ASSERT_EQ(after.commits.size(), 2u);
   EXPECT_EQ(after.commits[0].frame, 0);
   EXPECT_EQ(after.commits[1].frame, 2);  // the torn record stayed dead
-  std::remove(path.c_str());
 }
 
 TEST(Journal, GroupCommitSyncsOnlyRecordsThatMakeAPromise) {
-  const std::string path = unique_path("journal_syncs");
+  const std::string path = test_tmp_path("journal_syncs");
   for (const bool fsync : {true, false}) {
     JournalOptions opts;
     opts.fsync = fsync;
@@ -372,11 +355,10 @@ TEST(Journal, GroupCommitSyncsOnlyRecordsThatMakeAPromise) {
     w->frame_complete(FrameCompleteRecord{2, 3});
     EXPECT_EQ(w->syncs(), on);
   }
-  std::remove(path.c_str());
 }
 
 TEST(Journal, MissingFileReportsNotOk) {
-  const JournalReplay r = replay_journal(unique_path("journal_nonexistent"));
+  const JournalReplay r = replay_journal(test_tmp_path("journal_nonexistent"));
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.error.empty());
 }
@@ -430,7 +412,7 @@ TEST(Journal, DigestRectMatchesCopyTheRowReference) {
 // -- atomic targa writes ----------------------------------------------------
 
 TEST(AtomicTga, WritesReadableFileAndCleansTemp) {
-  const std::string path = unique_path("atomic") + ".tga";
+  const std::string path = test_tmp_path("atomic") + ".tga";
   const Framebuffer fb = gradient_frame(20, 10, 3);
   ASSERT_TRUE(write_tga_atomic(fb, path));
   Framebuffer back;
@@ -447,7 +429,6 @@ TEST(AtomicTga, WritesReadableFileAndCleansTemp) {
   ASSERT_TRUE(write_tga_atomic(fb2, path));
   ASSERT_TRUE(read_tga(&back, path));
   EXPECT_EQ(back, fb2);
-  std::remove(path.c_str());
 }
 
 TEST(AtomicTga, FailsCleanlyOnUnwritableDirectory) {
@@ -458,10 +439,9 @@ TEST(AtomicTga, FailsCleanlyOnUnwritableDirectory) {
 // -- build_recovery ---------------------------------------------------------
 
 TEST(Recovery, RestoresVerifiedFramesAndDemotesBadOnes) {
-  const std::string dir = test_dir();
-  const std::string prefix =
-      "rec_" + std::to_string(::testing::UnitTest::GetInstance()->random_seed());
-  const std::string journal = unique_path("recovery_journal");
+  const std::string dir = test_tmp_dir();
+  const std::string prefix = "rec";
+  const std::string journal = test_tmp_path("recovery_journal");
   const int w = 12, h = 6, frames = 4;
   JournalOptions opts;
   opts.fsync = false;
@@ -511,9 +491,6 @@ TEST(Recovery, RestoresVerifiedFramesAndDemotesBadOnes) {
       build_recovery(journal, dir, prefix, w + 1, h, frames);
   EXPECT_FALSE(mismatch.ok);
 
-  std::remove(journal.c_str());
-  std::remove(frame_file_path(dir, prefix, 0).c_str());
-  std::remove(frame_file_path(dir, prefix, 1).c_str());
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include "src/par/render_farm.h"
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -18,20 +17,10 @@
 #include "src/ckpt/recovery.h"
 #include "src/image/image_io.h"
 #include "src/scene/builtin_scenes.h"
+#include "tests/test_tmp.h"
 
 namespace now {
 namespace {
-
-std::string unique_dir(const std::string& stem) {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir();
-  if (!dir.empty() && dir.back() == '/') dir.pop_back();
-  dir += "/" + stem + "_" +
-         std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-         "_" + std::to_string(counter++);
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -74,7 +63,7 @@ TEST(Resume, CheckpointsRecordProgressPastEveryCommit) {
   // scheduler resumed from the checkpoint never re-renders a region-frame
   // the journal already holds.
   const AnimatedScene scene = orbit_scene(3, 8, 40, 30);
-  const std::string dir = unique_dir("ckpt_order");
+  const std::string dir = test_tmp_subdir("ckpt_order");
   FarmConfig config = journal_config(dir);
   config.journal_checkpoint_every = 1;
   const FarmResult result = render_farm(scene, config);
@@ -117,7 +106,7 @@ TEST(Resume, CheckpointsRecordProgressPastEveryCommit) {
 }
 
 TEST(Resume, FreshRunWritesAVerifiableJournal) {
-  const std::string dir = unique_dir("resume_fresh");
+  const std::string dir = test_tmp_subdir("resume_fresh");
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
   const FarmConfig config = journal_config(dir);
   const FarmResult result = render_farm(scene, config);
@@ -143,7 +132,7 @@ TEST(Resume, FreshRunWritesAVerifiableJournal) {
 
 TEST(Resume, ByteIdenticalFromEveryRecordBoundary) {
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
-  const std::string base = unique_dir("resume_base");
+  const std::string base = test_tmp_subdir("resume_base");
   const FarmConfig base_config = journal_config(base);
   const FarmResult clean = render_farm(scene, base_config);
   ASSERT_EQ(clean.master.frames_completed, scene.frame_count());
@@ -164,7 +153,7 @@ TEST(Resume, ByteIdenticalFromEveryRecordBoundary) {
   }
   for (const std::size_t cut : cuts) {
     ASSERT_LE(cut, journal_bytes.size());
-    const std::string dir = unique_dir("resume_cut");
+    const std::string dir = test_tmp_subdir("resume_cut");
     write_file(dir + "/render.journal", journal_bytes.substr(0, cut));
     for (int f = 0; f < scene.frame_count(); ++f) {
       write_file(frame_file_path(dir, "frame", f),
@@ -203,7 +192,7 @@ TEST(Resume, ByteIdenticalFromEveryRecordBoundary) {
 
 TEST(Resume, FullJournalRestoresEverythingWithoutRendering) {
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
-  const std::string dir = unique_dir("resume_full");
+  const std::string dir = test_tmp_subdir("resume_full");
   const FarmConfig base_config = journal_config(dir);
   const FarmResult clean = render_farm(scene, base_config);
 
@@ -221,7 +210,7 @@ TEST(Resume, FullJournalRestoresEverythingWithoutRendering) {
 
 TEST(Resume, MissingOrTamperedFrameFilesAreReRendered) {
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
-  const std::string dir = unique_dir("resume_demote");
+  const std::string dir = test_tmp_subdir("resume_demote");
   const FarmConfig base_config = journal_config(dir);
   const FarmResult clean = render_farm(scene, base_config);
 
@@ -249,7 +238,7 @@ TEST(Resume, MissingOrTamperedFrameFilesAreReRendered) {
 
 TEST(Resume, JournalFromADifferentAnimationIsRejected) {
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
-  const std::string dir = unique_dir("resume_mismatch");
+  const std::string dir = test_tmp_subdir("resume_mismatch");
   render_farm(scene, journal_config(dir));
 
   const AnimatedScene other = orbit_scene(3, 8, 48, 36);

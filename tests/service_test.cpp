@@ -3,7 +3,6 @@
 // standing gates — sim determinism and per-shot byte-identity against a
 // serial reference render.
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -18,6 +17,7 @@
 #include "src/par/render_farm.h"
 #include "src/par/serial.h"
 #include "src/scene/builtin_scenes.h"
+#include "tests/test_tmp.h"
 
 namespace now {
 namespace {
@@ -221,17 +221,6 @@ const TenantSummary& tenant_named(const FarmResult& result,
   return kEmpty;
 }
 
-std::string unique_dir(const std::string& stem) {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir();
-  if (!dir.empty() && dir.back() == '/') dir.pop_back();
-  dir += "/" + stem + "_" +
-         std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-         "_" + std::to_string(counter++);
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
-
 int tenant_index(const FarmResult& result, const std::string& name) {
   for (int t = 0; t < static_cast<int>(result.tenants.size()); ++t) {
     if (result.tenants[t].name == name) return t;
@@ -270,7 +259,7 @@ TEST(Service, WritesEachShotsFramesUnderItsOwnNames) {
   // under the classic global-frame names — and each file holds exactly the
   // shot's in-memory frame.
   const AnimatedScene scene = orbit_scene(3, 8, 48, 36);
-  const std::string dir = unique_dir("service_tga");
+  const std::string dir = test_tmp_subdir("service_tga");
   FarmConfig config = service_config(2);
   config.output_dir = dir;
   config.output_prefix = "svc";

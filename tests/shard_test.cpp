@@ -8,7 +8,6 @@
 #include "src/shard/shard.h"
 
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <cstdio>
 #include <fstream>
@@ -27,20 +26,10 @@
 #include "src/scene/builtin_scenes.h"
 #include "src/shard/digest.h"
 #include "src/shard/ownership.h"
+#include "tests/test_tmp.h"
 
 namespace now {
 namespace {
-
-std::string unique_dir(const std::string& stem) {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir();
-  if (!dir.empty() && dir.back() == '/') dir.pop_back();
-  dir += "/" + stem + "_" +
-         std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-         "_" + std::to_string(counter++);
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -500,7 +489,7 @@ FarmConfig shard_journal_config(const std::string& dir, int shards) {
 TEST(ShardResume, ByteIdenticalFromEverySegmentBoundary) {
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
   const int kShards = 2;
-  const std::string base = unique_dir("shard_resume_base");
+  const std::string base = test_tmp_subdir("shard_resume_base");
   const FarmConfig base_config = shard_journal_config(base, kShards);
   const FarmResult clean = render_farm(scene, base_config);
   ASSERT_EQ(clean.master.frames_completed, scene.frame_count());
@@ -527,7 +516,7 @@ TEST(ShardResume, ByteIdenticalFromEverySegmentBoundary) {
     cuts.push_back(seg_replay[victim].record_offsets[0] + 7);  // torn tail
     for (const std::size_t cut : cuts) {
       ASSERT_LE(cut, seg_bytes[victim].size());
-      const std::string dir = unique_dir("shard_resume_cut");
+      const std::string dir = test_tmp_subdir("shard_resume_cut");
       FarmConfig config = shard_journal_config(dir, kShards);
       write_file(config.journal_path, sched_bytes);
       for (int s = 0; s < kShards; ++s) {
@@ -600,7 +589,7 @@ TEST(ShardFarm, JournalSyncsCountsEveryPromiseAndNoRegionCommit) {
   for (const int shards : {1, 2}) {
     const std::string label = "shards " + std::to_string(shards);
     for (const bool fsync : {true, false}) {
-      const std::string dir = unique_dir("shard_journal_syncs");
+      const std::string dir = test_tmp_subdir("shard_journal_syncs");
       FarmConfig config = shard_journal_config(dir, shards);
       config.journal_fsync = fsync;
       const FarmResult result = render_farm(scene, config);
@@ -649,7 +638,7 @@ TEST(ShardResume, UnsyncedRegionCommitTailCutAtEveryPointIsByteIdentical) {
   // re-renders wholesale.
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
   const int kShards = 2;
-  const std::string base = unique_dir("shard_tail_base");
+  const std::string base = test_tmp_subdir("shard_tail_base");
   FarmConfig base_config = shard_journal_config(base, kShards);
   base_config.journal_fsync = true;
   const FarmResult clean = render_farm(scene, base_config);
@@ -678,7 +667,7 @@ TEST(ShardResume, UnsyncedRegionCommitTailCutAtEveryPointIsByteIdentical) {
     for (const std::size_t cut : cuts) {
       const std::string label =
           "shard" + std::to_string(victim) + "@cut" + std::to_string(cut);
-      const std::string dir = unique_dir("shard_tail_cut");
+      const std::string dir = test_tmp_subdir("shard_tail_cut");
       FarmConfig config = shard_journal_config(dir, kShards);
       config.journal_fsync = true;
       write_file(config.journal_path, sched_bytes);
@@ -726,20 +715,17 @@ TEST(ShardResume, UnsyncedRegionCommitTailCutAtEveryPointIsByteIdentical) {
 
 TEST(ShardResume, MissingSegmentRerendersItsRangeByteIdentically) {
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
-  const std::string base = unique_dir("shard_resume_lost_base");
+  const std::string base = test_tmp_subdir("shard_resume_lost_base");
   const FarmConfig base_config = shard_journal_config(base, 2);
   const FarmResult clean = render_farm(scene, base_config);
 
-  const std::string dir = unique_dir("shard_resume_lost");
+  const std::string dir = test_tmp_subdir("shard_resume_lost");
   FarmConfig config = shard_journal_config(dir, 2);
   write_file(config.journal_path, read_file(base_config.journal_path));
   // Segment 1 is gone entirely (lost disk): its range re-renders from
-  // scratch while segment 0's restored frames are kept. The remove guards
-  // against temp-dir reuse across test invocations — this test needs the
-  // file to be absent, not merely unwritten.
+  // scratch while segment 0's restored frames are kept.
   write_file(shard_journal_path(config.journal_path, 0),
              read_file(shard_journal_path(base_config.journal_path, 0)));
-  std::remove(shard_journal_path(config.journal_path, 1).c_str());
   for (int f = 0; f < scene.frame_count(); ++f) {
     write_file(frame_file_path(dir, "frame", f),
                read_file(frame_file_path(base, "frame", f)));
@@ -756,7 +742,7 @@ TEST(ShardResume, MissingSegmentRerendersItsRangeByteIdentically) {
 
 TEST(ShardResume, ShardCountChangeOnResumeIsRejected) {
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
-  const std::string dir = unique_dir("shard_resume_mismatch");
+  const std::string dir = test_tmp_subdir("shard_resume_mismatch");
   render_farm(scene, shard_journal_config(dir, 2));
 
   // 2 → 3, 2 → 1: both directions are hard errors naming the flag — a
@@ -777,7 +763,7 @@ TEST(ShardResume, ShardCountChangeOnResumeIsRejected) {
 
 TEST(ShardResume, SingleMasterJournalRejectsShardedResume) {
   const AnimatedScene scene = orbit_scene(3, 6, 48, 36);
-  const std::string dir = unique_dir("shard_resume_up");
+  const std::string dir = test_tmp_subdir("shard_resume_up");
   render_farm(scene, shard_journal_config(dir, 1));
 
   FarmConfig config = shard_journal_config(dir, 2);

@@ -180,6 +180,11 @@ Histogram& noop_histogram() {
 
 }  // namespace
 
+MetricsRegistry& MetricsRegistry::of(MetricsRegistry* registry) {
+  static MetricsRegistry disabled(false);
+  return registry != nullptr ? *registry : disabled;
+}
+
 Counter& MetricsRegistry::counter(const std::string& name) {
   if (!enabled_) return noop_counter();
   std::lock_guard<std::mutex> lock(mu_);

@@ -121,6 +121,11 @@ class MetricsRegistry {
 
   bool enabled() const { return enabled_; }
 
+  /// `registry` itself, or a process-wide disabled registry when null: code
+  /// handed no registry binds its instrument handles there instead of
+  /// null-checking every update.
+  static MetricsRegistry& of(MetricsRegistry* registry);
+
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   /// The bucket layout is fixed by the first call for a name; later calls

@@ -39,36 +39,14 @@ int resolved_worker_count(const FarmConfig& config) {
   throw std::invalid_argument("FarmConfig: " + what);
 }
 
-// End-of-run publication: fold the actor reports into the registry so every
-// backend reports through the same metric names.
+// End-of-run fold of what has no live series: the runtime's totals and the
+// workers' per-rank reports, summed across the fleet.
 void publish_reports(MetricsRegistry& reg, const RuntimeStats& runtime,
-                     const MasterReport& master,
-                     const std::vector<WorkerReport>& workers,
-                     const FaultReport& faults,
-                     const std::vector<ShardReport>& shards) {
+                     const std::vector<WorkerReport>& workers) {
   reg.gauge("farm.elapsed_seconds").set(runtime.elapsed_seconds);
   reg.counter("net.messages")
       .inc(static_cast<std::uint64_t>(runtime.messages));
   reg.counter("net.bytes").inc(static_cast<std::uint64_t>(runtime.bytes));
-
-  reg.counter("master.frame_results")
-      .inc(static_cast<std::uint64_t>(master.frame_results));
-  reg.counter("master.adaptive_splits")
-      .inc(static_cast<std::uint64_t>(master.adaptive_splits));
-  reg.counter("master.frames_completed")
-      .inc(static_cast<std::uint64_t>(master.frames_completed));
-  reg.counter("master.rays_total").inc(master.rays_total);
-  reg.counter("master.shadow_rays_total").inc(master.shadow_rays_total);
-  reg.counter("master.pixels_recomputed")
-      .inc(static_cast<std::uint64_t>(master.pixels_recomputed_total));
-  reg.counter("master.full_renders")
-      .inc(static_cast<std::uint64_t>(master.full_renders));
-  reg.gauge("master.worker_compute_seconds")
-      .set(master.worker_compute_seconds);
-  for (std::size_t w = 1; w < master.frames_by_worker.size(); ++w) {
-    reg.counter("rank." + std::to_string(w) + ".frames")
-        .inc(static_cast<std::uint64_t>(master.frames_by_worker[w]));
-  }
 
   std::int64_t peak_mark_bytes = 0;
   for (const WorkerReport& r : workers) {
@@ -86,87 +64,6 @@ void publish_reports(MetricsRegistry& reg, const RuntimeStats& runtime,
   }
   reg.gauge("worker.peak_mark_bytes")
       .set(static_cast<double>(peak_mark_bytes));
-
-  reg.counter("recovery.deaths_detected")
-      .inc(static_cast<std::uint64_t>(faults.deaths_detected));
-  reg.counter("recovery.pings_sent")
-      .inc(static_cast<std::uint64_t>(faults.pings_sent));
-  reg.counter("recovery.tasks_nacked")
-      .inc(static_cast<std::uint64_t>(faults.tasks_nacked));
-  reg.counter("recovery.tasks_reassigned")
-      .inc(static_cast<std::uint64_t>(faults.tasks_reassigned));
-  reg.counter("recovery.frames_reassigned")
-      .inc(static_cast<std::uint64_t>(faults.frames_reassigned));
-  reg.counter("recovery.results_ignored")
-      .inc(static_cast<std::uint64_t>(faults.results_ignored));
-  reg.gauge("recovery.lost_work_seconds").set(faults.lost_work_seconds);
-  reg.gauge("recovery.restart_work_seconds").set(faults.restart_work_seconds);
-  reg.gauge("recovery.detection_latency_seconds")
-      .set(faults.detection_latency_seconds);
-  reg.counter("recovery.workers_rejoined")
-      .inc(static_cast<std::uint64_t>(faults.workers_rejoined));
-  reg.counter("recovery.shards_failed")
-      .inc(static_cast<std::uint64_t>(faults.shards_failed));
-  reg.counter("recovery.shards_rejoined")
-      .inc(static_cast<std::uint64_t>(faults.shards_rejoined));
-  reg.counter("recovery.shard_commits_rolled_back")
-      .inc(static_cast<std::uint64_t>(faults.shard_commits_rolled_back));
-  reg.counter("recovery.speculations_launched")
-      .inc(static_cast<std::uint64_t>(faults.speculations_launched));
-  reg.counter("recovery.speculations_won")
-      .inc(static_cast<std::uint64_t>(faults.speculations_won));
-  reg.counter("recovery.speculation_frames_wasted")
-      .inc(static_cast<std::uint64_t>(faults.speculation_frames_wasted));
-  reg.gauge("recovery.speculation_wasted_seconds")
-      .set(faults.speculation_wasted_seconds);
-
-  // ckpt.* totals are merged across the scheduler journal and every shard
-  // segment, so a sharded run reports the same shape a single-master run
-  // does; the per-segment split is visible under shard.<i>.* below.
-  std::int64_t journal_records = master.journal_records;
-  std::int64_t journal_bytes = master.journal_bytes;
-  bool journal_ok = master.journal_ok;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const ShardReport& s = shards[i];
-    journal_records += s.journal_records;
-    journal_bytes += s.journal_bytes;
-    journal_ok = journal_ok && s.journal_ok;
-    const std::string prefix = "shard." + std::to_string(i) + ".";
-    reg.counter(prefix + "frame_results")
-        .inc(static_cast<std::uint64_t>(s.frame_results));
-    reg.counter(prefix + "frames_committed")
-        .inc(static_cast<std::uint64_t>(s.frames_committed));
-    reg.counter(prefix + "frames_completed")
-        .inc(static_cast<std::uint64_t>(s.frames_completed));
-    reg.counter(prefix + "frames_restored")
-        .inc(static_cast<std::uint64_t>(s.frames_restored));
-    reg.counter(prefix + "duplicates")
-        .inc(static_cast<std::uint64_t>(s.duplicates));
-    reg.counter(prefix + "stale_results")
-        .inc(static_cast<std::uint64_t>(s.stale_results));
-    reg.counter(prefix + "chain_rejects")
-        .inc(static_cast<std::uint64_t>(s.chain_rejects));
-    reg.counter(prefix + "decode_failures")
-        .inc(static_cast<std::uint64_t>(s.decode_failures));
-    reg.counter(prefix + "frame_bytes")
-        .inc(static_cast<std::uint64_t>(s.frame_bytes));
-    reg.counter(prefix + "journal_records")
-        .inc(static_cast<std::uint64_t>(s.journal_records));
-    reg.counter(prefix + "journal_bytes")
-        .inc(static_cast<std::uint64_t>(s.journal_bytes));
-    reg.counter(prefix + "rebuilds")
-        .inc(static_cast<std::uint64_t>(s.rebuilds));
-  }
-
-  reg.counter("ckpt.frames_restored")
-      .inc(static_cast<std::uint64_t>(master.frames_restored));
-  reg.counter("ckpt.journal_records")
-      .inc(static_cast<std::uint64_t>(journal_records));
-  reg.counter("ckpt.journal_bytes")
-      .inc(static_cast<std::uint64_t>(journal_bytes));
-  reg.counter("ckpt.journal_checkpoints")
-      .inc(static_cast<std::uint64_t>(master.journal_checkpoints));
-  reg.gauge("ckpt.journal_ok").set(journal_ok ? 1.0 : 0.0);
 }
 
 /// Hands the heap pages that earlier calls freed back to the system. The
@@ -379,10 +276,11 @@ FarmResult render_farm(const AnimatedScene& scene, const FarmConfig& config) {
   shard_map.frame_count = scene.frame_count();
   const bool sharded = shard_map.sharded();
 
-  // One registry + tracer pair shared by every layer of the run. Both are
-  // safe to hand out unconditionally: a disabled registry deals in no-op
-  // instruments, a disabled tracer is normalized to null by its consumers.
-  MetricsRegistry registry(config.obs.metrics);
+  // One registry + tracer pair shared by every layer of the run. The
+  // registry is the run's ledger: every actor counts into it as events
+  // happen, and the reports in FarmResult are read back from it. A disabled
+  // tracer is normalized to null by its consumers.
+  MetricsRegistry registry;
   EventTracer tracer(config.obs.trace);
   // The flight recorder rides on the tracer: attaching it keeps the tracer
   // "enabled" (every instrumented site keeps emitting) while the export
@@ -600,19 +498,14 @@ FarmResult render_farm(const AnimatedScene& scene, const FarmConfig& config) {
   // master's colocated assembler at shards == 1, the shards otherwise.
   std::vector<const FrameAssembler*> owners;
   if (master.assembler() != nullptr) owners.push_back(master.assembler());
-  for (auto& s : shards) {
-    owners.push_back(&s->assembler());
-    result.shards.push_back(s->report());
-  }
+  for (auto& s : shards) owners.push_back(&s->assembler());
   for (const FrameAssembler* a : owners) {
     const auto end = static_cast<std::size_t>(a->end_frame());
     if (result.frames.size() < end) result.frames.resize(end);
     std::copy(a->frames().begin(), a->frames().end(),
               result.frames.begin() + a->first_frame());
   }
-  result.master = master.report();
   for (auto& w : workers) result.workers.push_back(w->report());
-  result.faults = master.fault_report();
   result.resume = resume_report;
   if (service) {
     result.tenants = master.tenant_summaries();
@@ -633,31 +526,24 @@ FarmResult render_farm(const AnimatedScene& scene, const FarmConfig& config) {
     }
   }
 
-  publish_reports(registry, result.runtime, result.master, result.workers,
-                  result.faults, result.shards);
-  if (service) {
-    registry.counter("master.shots_submitted")
-        .inc(static_cast<std::uint64_t>(result.master.shots_submitted));
-    registry.counter("master.shots_completed")
-        .inc(static_cast<std::uint64_t>(result.master.shots_completed));
-    registry.counter("master.shots_cancelled")
-        .inc(static_cast<std::uint64_t>(result.master.shots_cancelled));
-    registry.counter("master.shots_rejected")
-        .inc(static_cast<std::uint64_t>(result.master.shots_rejected));
-    registry.counter("master.preemptions")
-        .inc(static_cast<std::uint64_t>(result.master.preemptions));
-  }
+  publish_reports(registry, result.runtime, result.workers);
   if (status_server != nullptr) {
     result.status_requests = status_server->requests_served();
     status_server->stop();
   }
   result.metrics = registry.snapshot();
-  // Read from the frame owners' sinks, not the registry: frame loss must
-  // show even with obs.metrics off.
-  result.frame_write_failures = master.frame_write_failures();
-  for (const ShardReport& s : result.shards) {
-    result.frame_write_failures += s.frame_write_failures;
+  // The reports are views over the ledger's final counts, plus the few
+  // fields that have no series of their own.
+  for (int i = 0; i < static_cast<int>(shards.size()); ++i) {
+    result.shards.push_back(read_shard_report(registry, i));
+    result.shards.back().journal_ok = shards[i]->journal_ok();
   }
+  result.master = read_master_report(registry, worker_count,
+                                     static_cast<int>(shards.size()), service);
+  result.master.journal_ok = master.journal_ok();
+  result.master.telemetry_samples = master.telemetry_samples();
+  result.faults = read_fault_report(registry);
+  result.frame_write_failures = result.metrics.counter("frames.write_failures");
   if (config.obs.trace) {
     result.trace_events = tracer.sorted_events();
     result.utilization = compute_utilization(

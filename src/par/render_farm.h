@@ -38,10 +38,6 @@ struct FarmObsConfig {
   /// sends/receives, scheduling decisions, fault injections) and compute the
   /// utilization report. Off by default: every tracer call is a lock.
   bool trace = false;
-  /// Aggregate counters/gauges/histograms into FarmResult::metrics. On by
-  /// default; when disabled, instrumented code receives shared no-op
-  /// instruments and FarmResult::metrics comes back empty.
-  bool metrics = true;
   /// Live telemetry plane: > 0 arms the scheduler's sample tick, which
   /// snapshots the registry into bounded time-series rings and publishes
   /// the /status JSON. Under kSim the ticks ride virtual time (so sampling
@@ -156,20 +152,23 @@ struct FarmResult {
   std::vector<Framebuffer> frames;
   double elapsed_seconds = 0.0;  // virtual (kSim) or wall (others)
   RuntimeStats runtime;
+  /// Read from `metrics` (master.*, ckpt.*, sched.stragglers).
   MasterReport master;
   std::vector<WorkerReport> workers;
-  /// Per-shard reports (empty when shards == 1).
+  /// Per-shard reports (empty when shards == 1), read from shard.<i>.*.
   std::vector<ShardReport> shards;
-  FaultReport faults;  // detection / recovery accounting (master's view)
+  /// Detection / recovery accounting (the scheduler's view), read from
+  /// recovery.*.
+  FaultReport faults;
   ResumeReport resume;  // what a --resume run restored
-  /// Completed frames whose TGA could not be written to output_dir, counted
-  /// by the frame owners' sinks (also the frames.write_failures counter when
-  /// obs.metrics is on). Such a frame is still in `frames` but has no
-  /// frame-complete journal record.
+  /// Completed frames whose TGA could not be written to output_dir (the
+  /// frames.write_failures counter). Such a frame is still in `frames` but
+  /// has no frame-complete journal record.
   std::int64_t frame_write_failures = 0;
-  /// Unified metrics snapshot — the one reporting path shared by all three
-  /// backends. Backend-specific series (e.g. sim.* and rank.* gauges from
-  /// the simulator) simply appear here when the backend publishes them.
+  /// The run's ledger: the final snapshot of the registry every layer
+  /// counts into as events happen, shared by all three backends.
+  /// Backend-specific series (e.g. sim.* and rank.* gauges from the
+  /// simulator) simply appear here when the backend publishes them.
   MetricsSnapshot metrics;
   /// Populated when obs.trace: all events, and the per-worker
   /// busy/comm/idle breakdown computed from them.

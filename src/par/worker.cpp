@@ -16,18 +16,17 @@ RenderWorker::RenderWorker(const AnimatedScene& scene,
   if (config_.tracer != nullptr && !config_.tracer->enabled()) {
     config_.tracer = nullptr;
   }
-  if (config_.metrics != nullptr) {
-    frame_seconds_hist_ = &config_.metrics->histogram(
-        "worker.frame_seconds", Histogram::default_seconds_bounds());
-    chunk_seconds_hist_ = &config_.metrics->histogram(
-        "worker.chunk_seconds", Histogram::default_seconds_bounds());
-    bytes_raw_ = &config_.metrics->counter("net.frame_bytes_raw");
-    bytes_wire_ = &config_.metrics->counter("net.frame_bytes_wire");
-    key_frames_ = &config_.metrics->counter("net.key_frames");
-    delta_frames_ = &config_.metrics->counter("net.delta_frames");
-    result_bytes_ = &config_.metrics->histogram(
-        "net.frame_result_bytes", Histogram::default_bytes_bounds());
-  }
+  MetricsRegistry& metrics = MetricsRegistry::of(config_.metrics);
+  frame_seconds_hist_ = &metrics.histogram(
+      "worker.frame_seconds", Histogram::default_seconds_bounds());
+  chunk_seconds_hist_ = &metrics.histogram(
+      "worker.chunk_seconds", Histogram::default_seconds_bounds());
+  bytes_raw_ = &metrics.counter("net.frame_bytes_raw");
+  bytes_wire_ = &metrics.counter("net.frame_bytes_wire");
+  key_frames_ = &metrics.counter("net.key_frames");
+  delta_frames_ = &metrics.counter("net.delta_frames");
+  result_bytes_ = &metrics.histogram("net.frame_result_bytes",
+                                     Histogram::default_bytes_bounds());
 }
 
 void RenderWorker::on_start(Context& ctx) { ctx.send(0, kTagHello, {}); }
@@ -145,7 +144,7 @@ void RenderWorker::render_next_frame(Context& ctx) {
          {"full", r.full_render ? 1 : 0},
          {"rays", static_cast<std::int64_t>(r.stats.total_rays())}});
   }
-  if (frame_seconds_hist_ != nullptr) frame_seconds_hist_->observe(cost);
+  frame_seconds_hist_->observe(cost);
   if (config_.tracer != nullptr && task_->trace_ctx != 0) {
     // Step 1 of the frame's flow chain: render finished on this rank.
     config_.tracer->flow_step(
@@ -157,9 +156,7 @@ void RenderWorker::render_next_frame(Context& ctx) {
   // histogram sample per parallel render chunk. r.chunks is wall-clock data
   // and is empty when the frame rendered sequentially (threads = 1).
   for (const ChunkTiming& chunk : r.chunks) {
-    if (chunk_seconds_hist_ != nullptr) {
-      chunk_seconds_hist_->observe(chunk.seconds);
-    }
+    chunk_seconds_hist_->observe(chunk.seconds);
     if (config_.tracer != nullptr) {
       config_.tracer->complete(ctx.rank(), "frame", "frame.render.chunk",
                                span_start + chunk.start_seconds, chunk.seconds,
@@ -261,12 +258,10 @@ void RenderWorker::send_frame(Context& ctx, const FrameResult& result) {
   // "Raw" is what this frame would have cost on the wire without the codec:
   // the exact uncompressed payload encoding. The wire counter is what it
   // actually cost; the ratio is the codec's whole value proposition.
-  if (bytes_raw_ != nullptr) {
-    bytes_raw_->inc(static_cast<std::uint64_t>(encoded_size(result.payload)));
-    bytes_wire_->inc(static_cast<std::uint64_t>(encoded.size()));
-    (result.key_frame() ? key_frames_ : delta_frames_)->inc();
-    result_bytes_->observe(static_cast<double>(encoded.size()));
-  }
+  bytes_raw_->inc(static_cast<std::uint64_t>(encoded_size(result.payload)));
+  bytes_wire_->inc(static_cast<std::uint64_t>(encoded.size()));
+  (result.key_frame() ? key_frames_ : delta_frames_)->inc();
+  result_bytes_->observe(static_cast<double>(encoded.size()));
   if (config_.tracer != nullptr) {
     config_.tracer->complete(
         ctx.rank(), "net", "net.send_pipeline", start, ctx.now() - start,

@@ -9,18 +9,29 @@ namespace now {
 
 FrameAssembler::FrameAssembler(int first_frame, int end_frame, int width,
                                int height, FrameSink* sink, int endpoint_rank,
-                               MetricsRegistry* metrics)
+                               MetricsRegistry* metrics, int shard_index)
     : first_(first_frame), width_(width), height_(height), sink_(sink) {
   const auto owned = static_cast<std::size_t>(end_frame - first_frame);
   frames_.assign(owned, Framebuffer(width, height));
   area_missing_.assign(owned, std::int64_t{width} * height);
   committed_rects_.assign(owned, {});
-  if (metrics != nullptr) {
-    const std::string prefix = "endpoint." + std::to_string(endpoint_rank) + ".";
-    decode_failures_ = &metrics->counter("net.frame_decode_failures");
-    ep_decode_failures_ = &metrics->counter(prefix + "frame_decode_failures");
-    ep_frame_bytes_ = &metrics->counter(prefix + "frame_bytes");
-  }
+  MetricsRegistry& endpoint = MetricsRegistry::of(metrics);
+  const std::string ep = "endpoint." + std::to_string(endpoint_rank) + ".";
+  decode_failures_ = &endpoint.counter("net.frame_decode_failures");
+  ep_decode_failures_ = &endpoint.counter(ep + "frame_decode_failures");
+  ep_frame_bytes_ = &endpoint.counter(ep + "frame_bytes");
+  MetricsRegistry& shard =
+      MetricsRegistry::of(shard_index >= 0 ? metrics : nullptr);
+  const std::string sp = "shard." + std::to_string(shard_index) + ".";
+  frame_results_ = &shard.counter(sp + "frame_results");
+  frames_committed_ = &shard.counter(sp + "frames_committed");
+  frames_completed_ = &shard.counter(sp + "frames_completed");
+  frames_restored_ = &shard.counter(sp + "frames_restored");
+  duplicates_ = &shard.counter(sp + "duplicates");
+  stale_results_ = &shard.counter(sp + "stale_results");
+  chain_rejects_ = &shard.counter(sp + "chain_rejects");
+  shard_decode_failures_ = &shard.counter(sp + "decode_failures");
+  frame_bytes_ = &shard.counter(sp + "frame_bytes");
 }
 
 int FrameAssembler::restore(
@@ -41,7 +52,7 @@ int FrameAssembler::restore(
     }
     ++restored;
   }
-  report_.frames_restored += restored;
+  frames_restored_->inc(static_cast<std::uint64_t>(restored));
   return restored;
 }
 
@@ -71,24 +82,22 @@ void FrameAssembler::reset(FrameSink* sink) {
 }
 
 void FrameAssembler::count_decode_failure() {
-  ++report_.decode_failures;
-  if (decode_failures_ != nullptr) decode_failures_->inc();
-  if (ep_decode_failures_ != nullptr) ep_decode_failures_->inc();
+  decode_failures_->inc();
+  ep_decode_failures_->inc();
+  shard_decode_failures_->inc();
 }
 
 FrameAssembler::Commit FrameAssembler::reject(Chain& chain, CommitDigest d) {
   chain.broken = true;
-  ++report_.chain_rejects;
+  chain_rejects_->inc();
   d.kind = CommitKind::kChainReject;
   return {d, false};
 }
 
 FrameAssembler::Commit FrameAssembler::commit(int source,
                                               const std::string& payload) {
-  report_.frame_bytes += static_cast<std::int64_t>(payload.size());
-  if (ep_frame_bytes_ != nullptr) {
-    ep_frame_bytes_->inc(static_cast<std::int64_t>(payload.size()));
-  }
+  ep_frame_bytes_->inc(payload.size());
+  frame_bytes_->inc(payload.size());
 
   CommitDigest d;
   d.worker = source;
@@ -103,7 +112,7 @@ FrameAssembler::Commit FrameAssembler::commit(int source,
     d.kind = CommitKind::kDecodeFail;
     return {d, false};
   }
-  ++report_.frame_results;
+  frame_results_->inc();
   d.task_id = result.task_id;
   d.frame = result.frame;
   d.trace_ctx = result.trace_ctx;
@@ -134,7 +143,7 @@ FrameAssembler::Commit FrameAssembler::commit(int source,
   }
   if (frame < chain.next) {
     // Duplicated delivery behind the chain: already applied, just ack.
-    ++report_.stale_results;
+    stale_results_->inc();
     d.kind = CommitKind::kStale;
     return {d, false};
   }
@@ -153,7 +162,7 @@ FrameAssembler::Commit FrameAssembler::commit(int source,
   const bool fresh = committed_rects_[local].insert(rect_key(region)).second;
   chain.next = frame + 1;
   if (!fresh) {
-    ++report_.duplicates;
+    duplicates_->inc();
     d.kind = CommitKind::kDuplicate;
     return {d, false};
   }
@@ -168,7 +177,7 @@ FrameAssembler::Commit FrameAssembler::commit(int source,
   // The sink's journal digest runs over *decoded* pixels, never wire bytes,
   // so raw and delta transports produce identical journal records.
   sink_->commit_region(result.task_id, region, frame, frames_[local]);
-  ++report_.frames_committed;
+  frames_committed_->inc();
 
   d.kind = CommitKind::kFresh;
   Commit out{d, false};
@@ -177,7 +186,7 @@ FrameAssembler::Commit FrameAssembler::commit(int source,
   if (area_missing_[local] == 0) {
     // Write-ahead order lives in the sink: the TGA is atomically in place
     // before the record that declares the frame durable.
-    ++report_.frames_completed;
+    frames_completed_->inc();
     sink_->complete_frame(frame, frames_[local]);
     out.frame_completed = true;
   }

@@ -36,35 +36,17 @@
 
 namespace now {
 
-struct ShardReport {
-  std::int64_t frame_results = 0;     // decoded results received
-  std::int64_t frames_committed = 0;  // fresh region-frame commits
-  std::int64_t frames_completed = 0;  // owned frames fully assembled
-  std::int64_t frames_restored = 0;   // owned frames loaded on resume
-  std::int64_t duplicates = 0;        // commit-gate hits (chain advanced)
-  std::int64_t stale_results = 0;     // redeliveries behind the chain
-  std::int64_t chain_rejects = 0;     // results that broke their chain
-  std::int64_t decode_failures = 0;   // envelopes that failed to decode
-  std::int64_t frame_bytes = 0;       // wire payload bytes received
-  std::int64_t journal_records = 0;
-  std::int64_t journal_bytes = 0;
-  bool journal_ok = true;
-  /// Completed frames whose TGA could not be written, across every
-  /// incarnation's sink.
-  std::int64_t frame_write_failures = 0;
-  /// Failover rebuilds: the shard rank died (or was fenced by the
-  /// scheduler), replayed its journal segment, and re-announced itself.
-  std::int64_t rebuilds = 0;
-};
-
 class FrameAssembler {
  public:
   /// Owns frames [first_frame, end_frame) of `width` x `height`, all
   /// missing, and writes through `sink` (not owned; must outlive its use).
   /// Decode-failure and payload-byte counters are labeled by
-  /// `endpoint_rank` in `metrics` (null disables).
+  /// `endpoint_rank` in `metrics` (null disables). A FrameShard's assembler
+  /// passes its `shard_index` and also counts every commit outcome under
+  /// shard.<index>.*; the master's colocated one (-1) has no such series.
   FrameAssembler(int first_frame, int end_frame, int width, int height,
-                 FrameSink* sink, int endpoint_rank, MetricsRegistry* metrics);
+                 FrameSink* sink, int endpoint_rank, MetricsRegistry* metrics,
+                 int shard_index = -1);
 
   /// What became of one FrameResult message.
   struct Commit {
@@ -93,11 +75,11 @@ class FrameAssembler {
   void reject_task(std::int32_t task_id);
 
   /// The owner's run is over: free the commit gates and chains on the
-  /// calling thread. Frames and report stay readable; commit() must not be
+  /// calling thread. Frames stay readable; commit() must not be
   /// called again.
   void release_gates();
 
-  /// Forget every pixel, gate and chain (counters survive) and write through
+  /// Forget every pixel, gate and chain and write through
   /// `sink` from now on: the in-memory state died with a failed shard.
   void reset(FrameSink* sink);
 
@@ -105,9 +87,6 @@ class FrameAssembler {
   const std::vector<Framebuffer>& frames() const { return frames_; }
   int first_frame() const { return first_; }
   int end_frame() const { return first_ + static_cast<int>(frames_.size()); }
-  /// Commit counters (journal and rebuild fields stay zero; the owning
-  /// actor fills those).
-  const ShardReport& report() const { return report_; }
 
  private:
   /// Per-task slice of the worker's result chain as seen by this owner.
@@ -133,12 +112,21 @@ class FrameAssembler {
   std::vector<std::set<std::uint64_t>> committed_rects_;
   std::map<std::int32_t, Chain> chains_;
 
-  // Per-endpoint instruments (null when metrics are off).
-  Counter* decode_failures_ = nullptr;     // global net.frame_decode_failures
+  // What became of the results, counted as they arrive: per endpoint, and
+  // per shard for a FrameShard's assembler (bound to a disabled registry
+  // otherwise).
+  Counter* decode_failures_ = nullptr;     // net.frame_decode_failures
   Counter* ep_decode_failures_ = nullptr;  // endpoint.<rank>.frame_decode_...
   Counter* ep_frame_bytes_ = nullptr;      // endpoint.<rank>.frame_bytes
-
-  ShardReport report_;
+  Counter* frame_results_ = nullptr;       // shard.<i>.* from here on
+  Counter* frames_committed_ = nullptr;
+  Counter* frames_completed_ = nullptr;
+  Counter* frames_restored_ = nullptr;
+  Counter* duplicates_ = nullptr;
+  Counter* stale_results_ = nullptr;
+  Counter* chain_rejects_ = nullptr;
+  Counter* shard_decode_failures_ = nullptr;
+  Counter* frame_bytes_ = nullptr;
 };
 
 }  // namespace now

@@ -41,6 +41,27 @@ std::size_t resume_valid_bytes(const ShardConfig& config) {
 
 }  // namespace
 
+ShardReport read_shard_report(MetricsRegistry& ledger, int shard) {
+  const std::string prefix = "shard." + std::to_string(shard) + ".";
+  const auto count = [&](const char* name) {
+    return ledger.counter(prefix + name).value();
+  };
+  ShardReport r;
+  r.frame_results = count("frame_results");
+  r.frames_committed = count("frames_committed");
+  r.frames_completed = count("frames_completed");
+  r.frames_restored = count("frames_restored");
+  r.duplicates = count("duplicates");
+  r.stale_results = count("stale_results");
+  r.chain_rejects = count("chain_rejects");
+  r.decode_failures = count("decode_failures");
+  r.frame_bytes = count("frame_bytes");
+  r.journal_records = count("journal_records");
+  r.journal_bytes = count("journal_bytes");
+  r.rebuilds = count("rebuilds");
+  return r;
+}
+
 // Everything — allocation, resume restore, segment open/truncate — happens
 // in the constructor, not on_start: a fully-restored resume lets the
 // scheduler stop the run during ITS on_start, before any other actor
@@ -52,36 +73,29 @@ FrameShard::FrameShard(const ShardConfig& config)
       assembler_(config.map.range_of(config.shard_index).first,
                  config.map.range_of(config.shard_index).second, config.width,
                  config.height, sink_.get(),
-                 config.map.rank_of_shard(config.shard_index), config.metrics) {
+                 config.map.rank_of_shard(config.shard_index), config.metrics,
+                 config.shard_index) {
   if (config_.tracer != nullptr && !config_.tracer->enabled()) {
     config_.tracer = nullptr;
   }
+  rebuilds_ = &MetricsRegistry::of(config_.metrics)
+                    .counter("shard." + std::to_string(config_.shard_index) +
+                             ".rebuilds");
   // Resume: owned frames the previous run completed (segment record +
   // verified targa) are restored wholesale, with their idempotent gates
   // re-armed from the replayed commit records so a duplicate commit (an
   // overlapping reclaim, a speculation loser from the dead run) can never
   // double-apply into a frame whose area is already zero.
   if (config_.recovery != nullptr) {
-    assembler_.restore(config_.recovery->frames,
-                       config_.recovery->frame_commits);
+    frames_restored_ = assembler_.restore(config_.recovery->frames,
+                                          config_.recovery->frame_commits);
   }
 }
 
-ShardReport FrameShard::report() const {
-  ShardReport r = assembler_.report();
-  r.journal_records = sink_->journal_records();
-  r.journal_bytes = sink_->journal_bytes();
-  r.journal_ok = sink_->journal_ok();
-  r.frame_write_failures = write_failures_carried_ + sink_->write_failures();
-  r.rebuilds = rebuilds_;
-  return r;
-}
-
 void FrameShard::on_start(Context& ctx) {
-  const std::int64_t restored = assembler_.report().frames_restored;
-  if (config_.tracer != nullptr && restored > 0) {
+  if (config_.tracer != nullptr && frames_restored_ > 0) {
     config_.tracer->instant(ctx.rank(), "shard", "resume.restore", ctx.now(),
-                            {{"frames", restored}});
+                            {{"frames", frames_restored_}});
   }
 }
 
@@ -134,7 +148,6 @@ void FrameShard::handle_rebuild(Context& ctx) {
   // back verified from disk with their gates re-armed; partially-committed
   // frames are lost and revert to full area — the scheduler performs the
   // matching rollback on its digest mirror and re-covers those cells.
-  write_failures_carried_ += sink_->write_failures();
   sink_.reset();  // release the dead incarnation's journal fd before reading
   std::size_t valid_bytes = 0;
   ShardRebuild rb;
@@ -149,7 +162,7 @@ void FrameShard::handle_rebuild(Context& ctx) {
   assembler_.reset(sink_.get());
   const int restored =
       rb.ok ? assembler_.restore(rb.frames, rb.frame_commits) : 0;
-  ++rebuilds_;
+  rebuilds_->inc();
 
   if (config_.tracer != nullptr) {
     config_.tracer->instant(ctx.rank(), "shard", "shard.rebuild", ctx.now(),

@@ -27,6 +27,30 @@
 
 namespace now {
 
+/// One shard's run statistics: a view over its shard.<i>.* series (see
+/// read_shard_report), plus its journal health.
+struct ShardReport {
+  std::int64_t frame_results = 0;     // decoded results received
+  std::int64_t frames_committed = 0;  // fresh region-frame commits
+  std::int64_t frames_completed = 0;  // owned frames fully assembled
+  std::int64_t frames_restored = 0;   // owned frames loaded on resume
+  std::int64_t duplicates = 0;        // commit-gate hits (chain advanced)
+  std::int64_t stale_results = 0;     // redeliveries behind the chain
+  std::int64_t chain_rejects = 0;     // results that broke their chain
+  std::int64_t decode_failures = 0;   // envelopes that failed to decode
+  std::int64_t frame_bytes = 0;       // wire payload bytes received
+  std::int64_t journal_records = 0;
+  std::int64_t journal_bytes = 0;
+  bool journal_ok = true;
+  /// Failover rebuilds: the shard rank died (or was fenced by the
+  /// scheduler), replayed its journal segment, and re-announced itself.
+  std::int64_t rebuilds = 0;
+};
+
+/// Read shard `shard`'s report from its shard.<shard>.* series; journal_ok
+/// has no series and stays the shard actor's own (FrameShard::journal_ok).
+ShardReport read_shard_report(MetricsRegistry& ledger, int shard);
+
 struct ShardConfig {
   ShardMap map;
   int shard_index = 0;
@@ -44,6 +68,9 @@ struct ShardConfig {
   /// from its valid prefix.
   const RecoveryState* recovery = nullptr;
   EventTracer* tracer = nullptr;
+  /// The run's ledger: the shard counts everything ShardReport reads under
+  /// shard.<shard_index>.* as it happens (registered at construction, so a
+  /// series that stays zero still appears). Null disables.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -54,10 +81,10 @@ class FrameShard final : public Actor {
   void on_start(Context& ctx) override;
   void on_message(Context& ctx, const Message& msg) override;
 
-  /// The owned frames and commit counters (valid after the runtime
-  /// finishes).
+  /// The owned frames (valid after the runtime finishes).
   const FrameAssembler& assembler() const { return assembler_; }
-  ShardReport report() const;
+  /// The current incarnation's journal health.
+  bool journal_ok() const { return sink_->journal_ok(); }
 
  private:
   /// Failover restart (kTagRejoin from the runtime, or kTagShardReset from
@@ -70,9 +97,9 @@ class FrameShard final : public Actor {
   ShardConfig config_;
   std::unique_ptr<FrameSink> sink_;
   FrameAssembler assembler_;
-  std::int64_t rebuilds_ = 0;
-  /// Failed TGA writes of sinks that earlier rebuilds replaced.
-  std::int64_t write_failures_carried_ = 0;
+  Counter* rebuilds_ = nullptr;  // shard.<i>.rebuilds
+  /// Owned frames the constructor restored from a previous run.
+  int frames_restored_ = 0;
 };
 
 }  // namespace now

@@ -312,7 +312,13 @@ class MasterProtocol : public ::testing::Test {
     config.partition.block_size = 16;
     config.partition.adaptive = adaptive;
     config.partition.min_split_frames = min_split;
+    config.metrics = &metrics_;
     return std::make_unique<RenderMaster>(scene_, config);
+  }
+
+  /// A counter the master keeps in the registry it was handed.
+  std::uint64_t count(const std::string& series) const {
+    return metrics_.snapshot().counter(series);
   }
 
   /// Worker-side render of a task frame, to produce a valid FrameResult.
@@ -331,6 +337,7 @@ class MasterProtocol : public ::testing::Test {
   }
 
   AnimatedScene scene_;
+  MetricsRegistry metrics_;
 };
 
 TEST_F(MasterProtocol, AssignsTasksOnHello) {
@@ -362,7 +369,8 @@ TEST_F(MasterProtocol, CompletesAndStops) {
   }
   EXPECT_TRUE(ctx.stopped);
   EXPECT_TRUE(ctx.has(kTagStop));
-  EXPECT_EQ(master->report().frames_completed, scene_.frame_count());
+  EXPECT_EQ(count("master.frames_completed"),
+            static_cast<std::uint64_t>(scene_.frame_count()));
   // Frames assembled correctly.
   const Framebuffer ref =
       render_world(scene_.world_at(3), 32, 24, CoherenceOptions{}.trace);
@@ -402,7 +410,7 @@ TEST_F(MasterProtocol, AdaptiveSplitHandshake) {
   ASSERT_TRUE(decode_task(&stolen, ctx.take(kTagTask, 1).payload));
   EXPECT_EQ(stolen.first_frame, shrink.new_end_frame);
   EXPECT_EQ(stolen.end_frame(), t2.end_frame());
-  EXPECT_EQ(master->report().adaptive_splits, 1);
+  EXPECT_EQ(count("master.adaptive_splits"), 1u);
 
   // Both workers finish their ranges; master stops.
   for (int f = t2.first_frame; f < shrink.new_end_frame; ++f) {
@@ -438,7 +446,7 @@ TEST_F(MasterProtocol, NackedSplitLeavesWorkerIdle) {
   master->on_message(ctx, msg_from(2, kTagShrinkAck,
                                    encode_shrink_ack({t2.task_id, -1})));
   EXPECT_FALSE(ctx.has(kTagTask));  // nothing to assign
-  EXPECT_EQ(master->report().adaptive_splits, 0);
+  EXPECT_EQ(count("master.adaptive_splits"), 0u);
   // Worker 2's results arrive and complete the animation.
   for (int f = t2.first_frame; f < t2.end_frame(); ++f) {
     master->on_message(ctx, msg_from(2, kTagFrameResult,
@@ -464,7 +472,7 @@ TEST_F(MasterProtocol, MalformedPayloadsAreIgnored) {
   master->on_message(ctx, msg_from(1, kTagFrameResult, "not a frame"));
   master->on_message(ctx, msg_from(1, kTagShrinkAck, "zzz"));
   EXPECT_FALSE(ctx.stopped);
-  EXPECT_EQ(master->report().frame_results, 0);
+  EXPECT_EQ(count("master.frame_results"), 0u);
 
   // The protocol still completes normally afterwards.
   Framebuffer fb(32, 24);
@@ -502,12 +510,12 @@ TEST_F(MasterProtocol, TaskNackRequeuesImmediately) {
   // the task is requeued immediately, no lease timeout involved.
   master->on_message(ctx, msg_from(1, kTagTaskNack,
                                    encode_task_nack({t1.task_id})));
-  EXPECT_EQ(master->fault_report().tasks_nacked, 1);
+  EXPECT_EQ(count("recovery.tasks_nacked"), 1u);
   EXPECT_FALSE(ctx.has(kTagTask));  // no idle worker to take it yet
   // A stale duplicate refusal is ignored (the slot is already freed).
   master->on_message(ctx, msg_from(1, kTagTaskNack,
                                    encode_task_nack({t1.task_id})));
-  EXPECT_EQ(master->fault_report().tasks_nacked, 1);
+  EXPECT_EQ(count("recovery.tasks_nacked"), 1u);
 
   // Worker 2 finishes its own range and asks for more: it must receive the
   // refused task verbatim — same id, same range, no restart accounting.
@@ -522,7 +530,7 @@ TEST_F(MasterProtocol, TaskNackRequeuesImmediately) {
   EXPECT_EQ(requeued.task_id, t1.task_id);
   EXPECT_EQ(requeued.first_frame, t1.first_frame);
   EXPECT_EQ(requeued.frame_count, t1.frame_count);
-  EXPECT_EQ(master->fault_report().tasks_reassigned, 0);
+  EXPECT_EQ(count("recovery.tasks_reassigned"), 0u);
 
   for (int f = requeued.first_frame; f < requeued.end_frame(); ++f) {
     master->on_message(ctx, msg_from(2, kTagFrameResult,

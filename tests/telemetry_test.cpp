@@ -638,16 +638,41 @@ TEST(Telemetry, SimStragglerIsFlaggedDeterministically) {
 
 // -- The live plane against a real TCP farm ---------------------------------
 
-TEST(Telemetry, StatusEndpointAnswersMidRenderOnATcpFarm) {
+/// A port the kernel just handed out and released: bind port 0, read the
+/// bound port back, close. Parallel test runs each get their own.
+int free_port() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  socklen_t len = sizeof(addr);
+  const bool ok =
+      ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) ==
+          0 &&
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0;
+  ::close(fd);
+  return ok ? ntohs(addr.sin_port) : -1;
+}
+
+/// Renders on a TCP farm with `shards` framebuffer shards while polling
+/// /metrics and /status mid-run, and checks both bodies, the final report
+/// and the frames. `series` are counters the mid-run /metrics must already
+/// carry: the ledger registers them when the actors are built, before the
+/// first frame.
+void expect_live_plane(int shards, const std::vector<std::string>& series) {
   const AnimatedScene scene = orbit_scene(4, 24, 96, 72);
   FarmConfig config;
   config.backend = FarmBackend::kTcp;
   config.workers = 2;
+  config.shards = shards;
   config.partition.scheme = PartitionScheme::kFrameDivision;
   config.partition.block_size = 16;
-  // A fixed port so the test can poll while the farm renders (the bound
-  // port is only reported after the run). Uncommon enough to be free.
-  const int port = 18473;
+  // The test polls while the farm renders, and the bound port is only
+  // reported after the run: ask the kernel for a free one up front.
+  const int port = free_port();
+  ASSERT_GT(port, 0);
   config.obs.status_port = port;
   config.obs.sample_interval_seconds = 0.02;
 
@@ -688,6 +713,11 @@ TEST(Telemetry, StatusEndpointAnswersMidRenderOnATcpFarm) {
             std::string::npos);
   EXPECT_NE(metrics_body.find("# TYPE sched_queue_depth gauge"),
             std::string::npos);
+  for (const std::string& name : series) {
+    EXPECT_NE(metrics_body.find("# TYPE " + name + " counter"),
+              std::string::npos)
+        << name;
+  }
 
   std::string err;
   EXPECT_TRUE(json_syntax_ok(status_body, &err)) << err;
@@ -701,6 +731,16 @@ TEST(Telemetry, StatusEndpointAnswersMidRenderOnATcpFarm) {
   ASSERT_EQ(result.master.frames_completed, scene.frame_count());
   const auto ref = reference_frames(scene, config.coherence.trace);
   expect_frames_equal(result.frames, ref, "tcp-live-plane");
+}
+
+TEST(Telemetry, StatusEndpointAnswersMidRenderOnATcpFarm) {
+  expect_live_plane(1, {"master_frames_completed", "recovery_deaths_detected",
+                        "ckpt_journal_records"});
+}
+
+TEST(Telemetry, StatusEndpointAnswersMidRenderOnAShardedTcpFarm) {
+  expect_live_plane(2, {"master_frames_completed", "recovery_deaths_detected",
+                        "ckpt_journal_records", "shard_0_frame_results"});
 }
 
 }  // namespace

@@ -124,17 +124,5 @@ TEST(TraceExportTest, ThreadsBackendPopulatesUnifiedMetrics) {
       << error;
 }
 
-TEST(TraceExportTest, MetricsDisabledYieldsEmptySnapshot) {
-  const AnimatedScene scene = orbit_scene(4, 4, 48, 36);
-  FarmConfig config;
-  config.backend = FarmBackend::kSim;
-  config.worker_speeds = {1.0, 1.0};
-  config.obs.metrics = false;
-  const FarmResult result = render_farm(scene, config);
-  EXPECT_TRUE(result.metrics.empty());
-  EXPECT_TRUE(result.trace_events.empty());  // trace off by default
-  EXPECT_EQ(result.master.frames_completed, scene.frame_count());
-}
-
 }  // namespace
 }  // namespace now

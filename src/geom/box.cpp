@@ -12,10 +12,9 @@ Box Box::from_corners(const Vec3& lo, const Vec3& hi) {
 
 bool Box::intersect(const Ray& ray, double t_min, double t_max,
                     Hit* hit) const {
-  // Transform the ray into the box's local frame (rotation^T is its inverse).
-  const Mat3 inv = rotation_.transposed();
-  const Vec3 local_origin = inv * (ray.origin - center_);
-  const Vec3 local_dir = inv * ray.direction;
+  // Transform the ray into the box's local frame.
+  const Vec3 local_origin = inverse_ * (ray.origin - center_);
+  const Vec3 local_dir = inverse_ * ray.direction;
 
   double t0 = t_min;
   double t1 = t_max;
@@ -48,7 +47,7 @@ bool Box::intersect(const Ray& ray, double t_min, double t_max,
 
   hit->t = t;
   hit->point = ray.at(t);
-  const Vec3 local_point = inv * (hit->point - center_);
+  const Vec3 local_point = inverse_ * (hit->point - center_);
   Vec3 local_normal{0, 0, 0};
   local_normal[axis] = local_point[axis] > 0.0 ? 1.0 : -1.0;
   hit->set_normal(ray, rotation_ * local_normal);

@@ -10,7 +10,10 @@ class Box final : public Primitive {
  public:
   Box(const Vec3& center, const Vec3& half_extents,
       const Mat3& rotation = Mat3::identity())
-      : center_(center), half_(half_extents), rotation_(rotation) {}
+      : center_(center),
+        half_(half_extents),
+        rotation_(rotation),
+        inverse_(rotation.transposed()) {}
 
   /// Axis-aligned box from min/max corners.
   static Box from_corners(const Vec3& lo, const Vec3& hi);
@@ -31,6 +34,7 @@ class Box final : public Primitive {
   Vec3 center_;
   Vec3 half_;
   Mat3 rotation_;
+  Mat3 inverse_;  // rotation_^T, which takes world rays into the local frame
 };
 
 }  // namespace now

@@ -9,18 +9,6 @@ Plane Plane::through(const Vec3& point, const Vec3& normal) {
   return Plane(n, dot(n, point));
 }
 
-bool Plane::intersect(const Ray& ray, double t_min, double t_max,
-                      Hit* hit) const {
-  const double denom = dot(normal_, ray.direction);
-  if (std::fabs(denom) < 1e-12) return false;  // parallel
-  const double t = (d_ - dot(normal_, ray.origin)) / denom;
-  if (t <= t_min || t >= t_max) return false;
-  hit->t = t;
-  hit->point = ray.at(t);
-  hit->set_normal(ray, normal_);
-  return true;
-}
-
 bool Plane::overlaps_box(const Aabb& box) const {
   return plane_overlaps_box(normal_, d_, box);
 }

@@ -14,6 +14,7 @@ class Plane final : public Primitive {
   static Plane through(const Vec3& point, const Vec3& normal);
 
   ShapeType type() const override { return ShapeType::kPlane; }
+  // Defined below, in the header, so the grid's per-shape dispatch inlines it.
   bool intersect(const Ray& ray, double t_min, double t_max,
                  Hit* hit) const override;
   Aabb bounds() const override { return {}; }
@@ -29,5 +30,17 @@ class Plane final : public Primitive {
   Vec3 normal_;
   double d_;
 };
+
+inline bool Plane::intersect(const Ray& ray, double t_min, double t_max,
+                             Hit* hit) const {
+  const double denom = dot(normal_, ray.direction);
+  if (std::fabs(denom) < 1e-12) return false;  // parallel
+  const double t = (d_ - dot(normal_, ray.origin)) / denom;
+  if (t <= t_min || t >= t_max) return false;
+  hit->t = t;
+  hit->point = ray.at(t);
+  hit->set_normal(ray, normal_);
+  return true;
+}
 
 }  // namespace now

@@ -50,6 +50,8 @@ class Primitive {
   virtual ShapeType type() const = 0;
 
   /// Nearest intersection with t in (t_min, t_max). Returns false on miss.
+  /// t_max may only filter the candidate roots, never change them: the
+  /// grid's mailbox skips a repeat test on the strength of it.
   virtual bool intersect(const Ray& ray, double t_min, double t_max,
                          Hit* hit) const = 0;
 

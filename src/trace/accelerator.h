@@ -10,6 +10,8 @@
 // a second time.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -18,11 +20,49 @@
 
 namespace now {
 
+/// Per-query object mailbox: an accelerator whose cells share objects
+/// tests each object at most once per query. Skipping a repeat test is
+/// exact because Primitive::intersect reports the nearest root in the open
+/// interval (t_min, t_max): within one query t_max only shrinks, so a miss
+/// stays a miss, and a hit at t is a miss over (t_min, t).
+class ObjectMailbox {
+ public:
+  /// `stamp` is the last query's stamp; tests start near the wrap with it.
+  explicit ObjectMailbox(std::uint32_t stamp = 0) : stamp_(stamp) {}
+
+  /// Starts a query over object indices [0, objects): none is tested yet.
+  void begin(std::size_t objects) {
+    if (stamps_.size() < objects) stamps_.resize(objects, 0);
+    if (++stamp_ == 0) {  // wrapped: forget every earlier query's stamps
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      stamp_ = 1;
+    }
+  }
+
+  /// True the first time object `i` is offered in this query, which then
+  /// marks it tested.
+  bool first_test(int i) {
+    std::uint32_t& s = stamps_[static_cast<std::size_t>(i)];
+    if (s == stamp_) return false;
+    s = stamp_;
+    return true;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamps_;  // per object: stamp of its last test
+  std::uint32_t stamp_;
+};
+
 /// The lattice walk a query made, from ray parameter 0: the cells it
 /// visited, in order, and the DDA state at the last of them, so a marker
 /// can resume the walk up to its own limit. Every accelerator resets the
 /// trail it is given; one that walks no lattice leaves `lattice` null.
+///
+/// The trail is also the per-thread state a query may use: its mailbox.
+/// A caller that wants the mailbox but not the walk clears `record`.
 struct CellTrail {
+  /// Whether queries fill in the walk below.
+  bool record = true;
   const VoxelGrid* lattice = nullptr;
   /// The ray's [0, ∞) range meets the lattice; `t_first` is where.
   bool entered = false;
@@ -30,6 +70,7 @@ struct CellTrail {
   /// State at the last visited cell (at the first cell when none was).
   VoxelGrid::Dda dda;
   std::vector<std::uint32_t> cells;  // visited cells, walk order
+  ObjectMailbox mailbox;
 
   void reset(const VoxelGrid* walked) {
     lattice = walked;
@@ -43,7 +84,8 @@ class Accelerator {
   virtual ~Accelerator() = default;
 
   /// Nearest hit with t in (t_min, t_max). Fills hit->object_id. When
-  /// `trail` is non-null it receives the walk (see CellTrail).
+  /// `trail` is non-null and records, it receives the walk (see
+  /// CellTrail); a non-null trail also lends the query its mailbox.
   virtual bool closest_hit(const Ray& ray, double t_min, double t_max,
                            Hit* hit, CellTrail* trail = nullptr) const = 0;
 

@@ -23,12 +23,14 @@ double smoothstep(double t) { return t * t * (3.0 - 2.0 * t); }
 }  // namespace
 
 double value_noise(const Vec3& p) {
-  const double fx = std::floor(p.x);
-  const double fy = std::floor(p.y);
-  const double fz = std::floor(p.z);
-  const auto x0 = static_cast<std::int64_t>(fx);
-  const auto y0 = static_cast<std::int64_t>(fy);
-  const auto z0 = static_cast<std::int64_t>(fz);
+  const std::int64_t x0 = floor_to_int(p.x);
+  const std::int64_t y0 = floor_to_int(p.y);
+  const std::int64_t z0 = floor_to_int(p.z);
+  // Equal to std::floor but for the sign of a zero, which p - floor(p)
+  // and smoothstep do not carry through.
+  const double fx = static_cast<double>(x0);
+  const double fy = static_cast<double>(y0);
+  const double fz = static_cast<double>(z0);
   const double tx = smoothstep(p.x - fx);
   const double ty = smoothstep(p.y - fy);
   const double tz = smoothstep(p.z - fz);
@@ -63,9 +65,7 @@ double turbulence(const Vec3& p, int octaves) {
 }
 
 Color CheckerTexture::value(const Vec3& p) const {
-  const auto cell = [&](double v) {
-    return static_cast<std::int64_t>(std::floor(v / cell_));
-  };
+  const auto cell = [&](double v) { return floor_to_int(v / cell_); };
   const std::int64_t parity = (cell(p.x) + cell(p.y) + cell(p.z)) & 1;
   return parity == 0 ? a_ : b_;
 }
@@ -76,17 +76,18 @@ Color BrickTexture::value(const Vec3& p) const {
   // Wall coordinates: u along x+z (so all four room walls pattern), v up y.
   const double u = p.x + p.z;
   const double v = p.y;
-  const double row_f = std::floor(v / height_);
-  const auto row = static_cast<std::int64_t>(row_f);
+  // The local coordinates below only meet comparisons, so a +0 where
+  // std::floor gives -0 changes nothing.
+  const std::int64_t row = floor_to_int(v / height_);
   // Offset every other course by half a brick (running bond).
   const double u_shift = (row & 1) ? width_ * 0.5 : 0.0;
-  const double local_v = v - row_f * height_;
+  const double local_v = v - static_cast<double>(row) * height_;
   const double cu = u + u_shift;
-  const double local_u = cu - std::floor(cu / width_) * width_;
+  const std::int64_t col = floor_to_int(cu / width_);
+  const double local_u = cu - static_cast<double>(col) * width_;
   const bool in_mortar = local_v < mortar_size_ || local_u < mortar_size_;
   if (in_mortar) return mortar_;
   // Slight per-brick tint variation so the wall does not look flat.
-  const auto col = static_cast<std::int64_t>(std::floor(cu / width_));
   const double tint =
       0.85 + 0.3 * value_noise({static_cast<double>(col), static_cast<double>(row), 0.0});
   return brick_ * tint;

@@ -6,11 +6,20 @@
 // under frame coherence reproduces the original color exactly.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "src/math/vec3.h"
 
 namespace now {
+
+/// std::floor(v) as an integer, for |v| < 2^63: the conversion truncates
+/// toward zero, and a truncation above v steps down by one. Exact on that
+/// domain, and free of the libm call std::floor is on baseline x86-64.
+inline std::int64_t floor_to_int(double v) {
+  const auto i = static_cast<std::int64_t>(v);
+  return static_cast<double>(i) > v ? i - 1 : i;
+}
 
 class Texture {
  public:

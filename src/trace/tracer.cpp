@@ -15,7 +15,9 @@ TraceStats& TraceStats::operator+=(const TraceStats& o) {
 
 Tracer::Tracer(const World& world, const Accelerator& accel,
                TraceOptions options)
-    : world_(world), accel_(accel), options_(options) {}
+    : world_(world), accel_(accel), options_(options) {
+  trail_.record = false;
+}
 
 Color Tracer::shade_pixel(int px, int py, int width, int height) {
   const int n = options_.supersample_axis;
@@ -41,8 +43,7 @@ Color Tracer::trace(const Ray& ray, int depth, double weight, int px, int py,
   }
 
   Hit hit;
-  CellTrail* const trail = listener_ != nullptr ? &trail_ : nullptr;
-  if (!accel_.closest_hit(ray, kRayEpsilon, kRayInfinity, &hit, trail)) {
+  if (!accel_.closest_hit(ray, kRayEpsilon, kRayInfinity, &hit, &trail_)) {
     if (listener_ != nullptr) {
       listener_->on_traced_segment(px, py, ray, kRayInfinity, kind, trail_);
     }
@@ -75,13 +76,14 @@ Color Tracer::shade_hit(const Hit& hit, const Ray& ray, int depth,
   if (mat == nullptr) return Color{1, 0, 1};  // unmatched id: loud magenta
 
   const Color tex_color = mat->texture->value(hit.point);
+  const Vec3 unit_dir = ray.direction.normalized();
 
   // Ambient term.
   Color result = tex_color * mat->ambient * options_.ambient_light;
 
   // Direct illumination with shadow rays.
   for (const Light& light : world_.lights()) {
-    result += direct_light(light, hit, ray, *mat, tex_color, px, py);
+    result += direct_light(light, hit, unit_dir, *mat, tex_color, px, py);
   }
 
   if (depth >= options_.max_depth) return result;
@@ -90,7 +92,7 @@ Color Tracer::shade_hit(const Hit& hit, const Ray& ray, int depth,
   double transmit_w = mat->transmittance;
   if (mat->fresnel && (reflect_w > 0.0 || transmit_w > 0.0)) {
     // Schlick approximation on the incident angle.
-    const double cos_i = -dot(ray.direction.normalized(), hit.normal);
+    const double cos_i = -dot(unit_dir, hit.normal);
     const double eta = hit.front_face ? 1.0 / mat->ior : mat->ior;
     double r0 = (1.0 - eta) / (1.0 + eta);
     r0 *= r0;
@@ -103,7 +105,7 @@ Color Tracer::shade_hit(const Hit& hit, const Ray& ray, int depth,
   if (reflect_w > 0.0 &&
       (options_.adaptive_bailout <= 0.0 ||
        weight * reflect_w > options_.adaptive_bailout)) {
-    const Vec3 dir = reflect(ray.direction.normalized(), hit.normal);
+    const Vec3 dir = reflect(unit_dir, hit.normal);
     const Ray reflected{hit.point + hit.normal * kRayEpsilon, dir};
     result += reflect_w * trace(reflected, depth + 1, weight * reflect_w, px,
                                 py, RayKind::kReflection);
@@ -115,13 +117,13 @@ Color Tracer::shade_hit(const Hit& hit, const Ray& ray, int depth,
        weight * transmit_w > options_.adaptive_bailout)) {
     const double eta = hit.front_face ? 1.0 / mat->ior : mat->ior;
     Vec3 dir;
-    if (refract(ray.direction.normalized(), hit.normal, eta, &dir)) {
+    if (refract(unit_dir, hit.normal, eta, &dir)) {
       const Ray refracted{hit.point - hit.normal * kRayEpsilon, dir};
       result += transmit_w * trace(refracted, depth + 1, weight * transmit_w,
                                    px, py, RayKind::kRefraction);
     } else {
       // Total internal reflection: the transmitted energy reflects instead.
-      const Vec3 rdir = reflect(ray.direction.normalized(), hit.normal);
+      const Vec3 rdir = reflect(unit_dir, hit.normal);
       const Ray reflected{hit.point + hit.normal * kRayEpsilon, rdir};
       result += transmit_w * trace(reflected, depth + 1, weight * transmit_w,
                                    px, py, RayKind::kReflection);
@@ -130,9 +132,9 @@ Color Tracer::shade_hit(const Hit& hit, const Ray& ray, int depth,
   return result;
 }
 
-Color Tracer::direct_light(const Light& light, const Hit& hit, const Ray& ray,
-                           const Material& mat, const Color& tex_color,
-                           int px, int py) {
+Color Tracer::direct_light(const Light& light, const Hit& hit,
+                           const Vec3& unit_dir, const Material& mat,
+                           const Color& tex_color, int px, int py) {
   Vec3 to_light;
   double light_dist;
   light.sample(hit.point, &to_light, &light_dist);
@@ -145,9 +147,8 @@ Color Tracer::direct_light(const Light& light, const Hit& hit, const Ray& ray,
     const Ray shadow_ray{hit.point + hit.normal * kRayEpsilon, to_light};
     Hit blocker;
     const double max_t = light_dist - 2.0 * kRayEpsilon;
-    const bool blocked = accel_.any_hit(
-        shadow_ray, kRayEpsilon, max_t, &blocker,
-        listener_ != nullptr ? &trail_ : nullptr);
+    const bool blocked =
+        accel_.any_hit(shadow_ray, kRayEpsilon, max_t, &blocker, &trail_);
     if (listener_ != nullptr) {
       // Mark up to the blocker: an occluder moving out of the traversed
       // span, or any object moving into it, can change this pixel. Objects
@@ -163,7 +164,7 @@ Color Tracer::direct_light(const Light& light, const Hit& hit, const Ray& ray,
   Color out = tex_color * mat.diffuse * n_dot_l * light_color;
 
   // Phong highlight about the mirror direction of the light.
-  const Vec3 view = -ray.direction.normalized();
+  const Vec3 view = -unit_dir;
   const Vec3 refl = reflect(-to_light, hit.normal);
   const double r_dot_v = dot(refl, view);
   if (r_dot_v > 0.0 && mat.specular > 0.0) {

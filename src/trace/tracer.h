@@ -75,7 +75,10 @@ class Tracer {
   Tracer(const World& world, const Accelerator& accel, TraceOptions options = {});
 
   /// Not owned; nullptr disables reporting.
-  void set_listener(RayListener* listener) { listener_ = listener; }
+  void set_listener(RayListener* listener) {
+    listener_ = listener;
+    trail_.record = listener != nullptr;
+  }
 
   /// Fully shade pixel (px, py) of a width×height image: fires all camera
   /// rays (supersampling included) and the recursive trees beneath them.
@@ -96,7 +99,8 @@ class Tracer {
   Color shade_hit(const Hit& hit, const Ray& ray, int depth, double weight,
                   int px, int py);
   /// Direct illumination from one light, shadow ray included.
-  Color direct_light(const Light& light, const Hit& hit, const Ray& ray,
+  /// `unit_dir` is the incident ray's direction, normalized.
+  Color direct_light(const Light& light, const Hit& hit, const Vec3& unit_dir,
                      const Material& mat, const Color& tex_color, int px,
                      int py);
 
@@ -104,8 +108,9 @@ class Tracer {
   const Accelerator& accel_;
   TraceOptions options_;
   RayListener* listener_ = nullptr;
-  /// The walk of the latest query, recorded only while a listener is set
-  /// and handed to it before the next query.
+  /// Every query's trail: its mailbox serves each query, and the walk is
+  /// recorded only while a listener is set and handed to it before the
+  /// next query.
   CellTrail trail_;
   TraceStats stats_;
 };

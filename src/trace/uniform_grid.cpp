@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/geom/cylinder.h"
+#include "src/geom/plane.h"
+#include "src/geom/sphere.h"
+
 namespace now {
 
 UniformGridAccelerator::UniformGridAccelerator(const World& world,
@@ -37,6 +41,7 @@ void UniformGridAccelerator::place(int i, bool append) {
   const Primitive& prim = *world_.object(i).primitive;
   Footprint& fp = footprints_[static_cast<std::size_t>(i)];
   fp = {};
+  fp.shape = prim.type();
   const Aabb box = prim.bounds();
   // An object reaching outside the lattice (possible with an explicit
   // grid) could be hit where no walked cell lists it: test it every ray.
@@ -85,27 +90,33 @@ void UniformGridAccelerator::update(const std::vector<int>& moved) {
   }
 }
 
-bool UniformGridAccelerator::test_cell(int cell, const Ray& ray, double t_min,
-                                       double& nearest, Hit* hit) const {
-  bool found = false;
-  for (const int i : cells_[cell]) {
-    Hit h;
-    if (world_.object(i).primitive->intersect(ray, t_min, nearest, &h)) {
-      nearest = h.t;
-      h.object_id = world_.object(i).object_id;
-      *hit = h;
-      found = true;
-    }
+bool UniformGridAccelerator::intersect(int i, const Ray& ray, double t_min,
+                                       double t_max, Hit* hit) const {
+  const Primitive& prim = *world_.object(i).primitive;
+  switch (footprints_[static_cast<std::size_t>(i)].shape) {
+    case ShapeType::kSphere:
+      return static_cast<const Sphere&>(prim).Sphere::intersect(ray, t_min,
+                                                                t_max, hit);
+    case ShapeType::kPlane:
+      return static_cast<const Plane&>(prim).Plane::intersect(ray, t_min,
+                                                              t_max, hit);
+    case ShapeType::kCylinder:
+      return static_cast<const Cylinder&>(prim).Cylinder::intersect(
+          ray, t_min, t_max, hit);
+    default:
+      return prim.intersect(ray, t_min, t_max, hit);
   }
-  return found;
 }
 
-bool UniformGridAccelerator::test_unbounded(const Ray& ray, double t_min,
-                                            double& nearest, Hit* hit) const {
+bool UniformGridAccelerator::test_list(const std::vector<int>& list,
+                                       const Ray& ray, double t_min,
+                                       double& nearest, Hit* hit,
+                                       ObjectMailbox* mailbox) const {
   bool found = false;
-  for (const int i : unbounded_) {
+  for (const int i : list) {
+    if (mailbox != nullptr && !mailbox->first_test(i)) continue;
     Hit h;
-    if (world_.object(i).primitive->intersect(ray, t_min, nearest, &h)) {
+    if (intersect(i, ray, t_min, nearest, &h)) {
       nearest = h.t;
       h.object_id = world_.object(i).object_id;
       *hit = h;
@@ -130,11 +141,15 @@ bool UniformGridAccelerator::begin_walk(const Ray& ray, VoxelGrid::Dda* d,
 
 bool UniformGridAccelerator::closest_hit(const Ray& ray, double t_min,
                                          double t_max, Hit* hit,
-                                         CellTrail* trail) const {
+                                         CellTrail* query) const {
+  // The side list shares no object with the cells: it needs no mailbox.
   double nearest = t_max;
-  bool found = test_unbounded(ray, t_min, nearest, hit);
+  bool found = test_list(unbounded_, ray, t_min, nearest, hit, nullptr);
+  ObjectMailbox* const mailbox = query != nullptr ? &query->mailbox : nullptr;
+  CellTrail* const trail = query != nullptr && query->record ? query : nullptr;
   VoxelGrid::Dda d;
   if (!begin_walk(ray, &d, trail)) return found;
+  if (mailbox != nullptr) mailbox->begin(footprints_.size());
   d.clip(t_max);
   // Every object listed in a cell lies inside the lattice, so an unbounded
   // hit in front of it ends the trace before the first cell.
@@ -144,7 +159,9 @@ bool UniformGridAccelerator::closest_hit(const Ray& ray, double t_min,
       if (trail != nullptr) {
         trail->cells.push_back(static_cast<std::uint32_t>(cell));
       }
-      if (test_cell(cell, ray, t_min, nearest, hit)) found = true;
+      if (test_list(cells_[cell], ray, t_min, nearest, hit, mailbox)) {
+        found = true;
+      }
       // A hit inside or before this cell terminates the walk: no later
       // cell can contain a closer intersection. Objects spanning multiple
       // cells may report a hit beyond the current cell's exit, so only
@@ -158,24 +175,28 @@ bool UniformGridAccelerator::closest_hit(const Ray& ray, double t_min,
 
 bool UniformGridAccelerator::any_hit(const Ray& ray, double t_min,
                                      double t_max, Hit* hit,
-                                     CellTrail* trail) const {
+                                     CellTrail* query) const {
   double nearest = t_max;
   Hit local;
-  bool found = test_unbounded(ray, t_min, nearest, &local);
+  bool found = test_list(unbounded_, ray, t_min, nearest, &local, nullptr);
+  ObjectMailbox* const mailbox = query != nullptr ? &query->mailbox : nullptr;
+  CellTrail* const trail = query != nullptr && query->record ? query : nullptr;
   // The walk stops at the first blocker: an unbounded one ends it before
   // the first cell, so it is begun only for the trail.
   VoxelGrid::Dda d;
   if ((!found || trail != nullptr) && begin_walk(ray, &d, trail)) {
     d.clip(t_max);
     if (!found && d.t <= d.t_exit) {
+      if (mailbox != nullptr) mailbox->begin(footprints_.size());
       do {
         const int cell = grid_.cell_index(d);
         if (trail != nullptr) {
           trail->cells.push_back(static_cast<std::uint32_t>(cell));
         }
         for (const int i : cells_[cell]) {
+          if (mailbox != nullptr && !mailbox->first_test(i)) continue;
           Hit h;
-          if (world_.object(i).primitive->intersect(ray, t_min, t_max, &h)) {
+          if (intersect(i, ray, t_min, t_max, &h)) {
             h.object_id = world_.object(i).object_id;
             local = h;
             found = true;

@@ -52,9 +52,11 @@ class UniformGridAccelerator final : public Accelerator {
 
  private:
   /// Inclusive cell range an object was rasterized over; `ix0 < 0` when it
-  /// sits on the side list instead.
+  /// sits on the side list instead. Beside it, the object's shape, which
+  /// picks a non-virtual intersect for the shapes the grid knows.
   struct Footprint {
     int ix0 = -1, iy0 = 0, iz0 = 0, ix1 = 0, iy1 = 0, iz1 = 0;
+    ShapeType shape = ShapeType::kMesh;
   };
 
   void build();
@@ -62,11 +64,14 @@ class UniformGridAccelerator final : public Accelerator {
   /// ascending order unless `append`, which a build in index order may use.
   void place(int i, bool append);
   void unplace(int i);
-  /// Test the objects of one cell; keeps the nearest hit under `nearest`.
-  bool test_cell(int cell, const Ray& ray, double t_min, double& nearest,
+  /// Primitive::intersect of object `i`: inlined for spheres, planes and
+  /// cylinders, virtual for the other shapes.
+  bool intersect(int i, const Ray& ray, double t_min, double t_max,
                  Hit* hit) const;
-  bool test_unbounded(const Ray& ray, double t_min, double& nearest,
-                      Hit* hit) const;
+  /// Test the objects of `list`, skipping those `mailbox` (if any) has
+  /// seen this query; keeps the nearest hit under `nearest`.
+  bool test_list(const std::vector<int>& list, const Ray& ray, double t_min,
+                 double& nearest, Hit* hit, ObjectMailbox* mailbox) const;
   /// Start a trail's walk at the lattice's first cell along `ray` from 0.
   bool begin_walk(const Ray& ray, VoxelGrid::Dda* d, CellTrail* trail) const;
 

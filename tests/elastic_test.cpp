@@ -167,6 +167,21 @@ TEST(Rejoin, SimDeclaredDeadWorkerIsReadmittedByItsHello) {
   expect_frames_equal(result.frames, ref, "sim-readmit");
 }
 
+// The wall-clock rejoin tests crash rank 1 on its second result, so rank 1
+// must render two frames of its range before the survivors run out of
+// other work. Under load its actor thread can start late, and the
+// survivors then take all three tasks: rank 1 never renders, the crash
+// never fires and the run ends early. Every message into the survivors
+// during the first 0.25 s arrives 0.25 s late, which holds them back
+// until rank 1 has claimed its task and rendered into it (as the
+// WorkerCrash tests do).
+void hold_back_survivors(FarmConfig* config) {
+  for (const int rank : {2, 3}) {
+    config->fault_plan.events.push_back(
+        FaultPlan::delay_window(rank, 0.0, 0.25, 0.25));
+  }
+}
+
 TEST(Rejoin, ThreadsCrashedWorkerRejoinsAndRunCompletes) {
   const AnimatedScene scene = orbit_scene(2, 9, 40, 30);
   FarmConfig config = rejoin_config(FarmBackend::kThreads);
@@ -177,6 +192,7 @@ TEST(Rejoin, ThreadsCrashedWorkerRejoinsAndRunCompletes) {
   // loaded machine (a rejoin consumes a not-yet-fired crash): two frames
   // normally take ~10 ms, so 1 s is a wide margin, and the stall it causes
   // bounds this test's wall time.
+  hold_back_survivors(&config);
   config.fault_plan.events.push_back(FaultPlan::crash_after_frames(1, 2));
   config.fault_plan.events.push_back(FaultPlan::rejoin_at(1, 1.0));
 
@@ -196,6 +212,7 @@ TEST(Rejoin, TcpCrashedWorkerReconnectsAndRunCompletes) {
   FarmConfig config = rejoin_config(FarmBackend::kTcp);
   // Socket setup alone can take hundreds of ms under load; 2 s keeps the
   // crash-before-rejoin ordering safe (see the threads test above).
+  hold_back_survivors(&config);
   config.fault_plan.events.push_back(FaultPlan::crash_after_frames(1, 2));
   config.fault_plan.events.push_back(FaultPlan::rejoin_at(1, 2.0));
 

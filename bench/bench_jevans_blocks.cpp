@@ -7,9 +7,12 @@
 // Runs the coherent renderer with block granularities from per-pixel
 // (block = 0, the paper's algorithm) up through Jevans-style blocks, and
 // reports pixels recomputed, rays traced and serial virtual time. Output
-// correctness is identical in every mode; only the work differs.
+// is identical in every mode, only the work differs: the bench exits 1 if
+// any block size renders a frame that differs from the per-pixel run.
 #include <cstdio>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/par/serial.h"
@@ -34,11 +37,20 @@ int run(bool quick) {
   bench::print_rule(80);
 
   double pixel_time = 0.0;
+  std::vector<Framebuffer> pixel_frames;
+  int mismatches = 0;
   for (const int block : {0, 2, 4, 8, 16, 32, 64}) {
     CoherenceOptions options;
     options.block_size = block;
-    const SerialResult r = render_serial(scene, options);
-    if (block == 0) pixel_time = r.virtual_seconds;
+    SerialResult r = render_serial(scene, options);
+    if (block == 0) {
+      pixel_time = r.virtual_seconds;
+      pixel_frames = std::move(r.frames);
+    } else if (r.frames != pixel_frames) {
+      std::fprintf(stderr, "block %d: frames differ from the per-pixel run\n",
+                   block);
+      ++mismatches;
+    }
     char label[32];
     if (block == 0) {
       std::snprintf(label, sizeof(label), "per-pixel");
@@ -57,7 +69,7 @@ int run(bool quick) {
   std::printf("\nper-pixel granularity recomputes the least; block modes "
               "inflate every dirty\nregion to block boundaries (the paper's "
               "stated advantage over Jevans)\n");
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }
 
 }  // namespace

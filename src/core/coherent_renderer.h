@@ -27,14 +27,15 @@
 // Jevans-1992 baseline the paper contrasts against: "if one pixel in the
 // block needs to be updated, all pixels in the block are re-computed."
 //
-// Intra-worker parallelism (`threads`): the region's pixels are sharded into
-// the coherence grid's fixed row bands; a thread pool shades bands
-// concurrently, each with its own Tracer and a RayRecorder on the pool
-// worker's grid lane, so every thread marks its own bands' slices directly.
-// Ray stats are reduced after the join — the framebuffer, the grid's marks,
-// and every FrameRenderResult counter are byte-identical to a `threads = 1`
-// render (only the wall-clock `chunks` timing metadata differs; it is empty
-// when sequential).
+// Every frame shades through one band loop, at every thread count: the
+// pixels to recompute (the whole region, or the ascending dirty-pixel list)
+// are cut into the coherence grid's fixed row bands, and a thread pool
+// shades the bands with one Tracer and one RayRecorder per pool lane, each
+// marking through its own grid lane. Ray stats and marks are integer sums
+// over the lanes, so the framebuffer, the grid's marks and every
+// FrameRenderResult counter are byte-identical for every `threads` value.
+// Only the wall-clock `chunks` timings differ; they are recorded only when
+// the pool has more than one thread.
 #pragma once
 
 #include <memory>
@@ -109,8 +110,8 @@ struct FrameRenderResult {
   /// the renderer's region can be set). Drives sparse network returns and
   /// the Figure 2 predicted-difference images.
   PixelMask recomputed;
-  /// Per-chunk wall timings of the parallel section (empty when the frame
-  /// was rendered sequentially). See ChunkTiming.
+  /// Per-chunk wall timings of the band loop (empty when the pool has one
+  /// thread). See ChunkTiming.
   std::vector<ChunkTiming> chunks;
 };
 
@@ -142,37 +143,41 @@ class CoherentRenderer {
   /// The accelerator over the last rendered frame (valid after a frame).
   const UniformGridAccelerator& accelerator() const { return *accel_; }
   /// Resolved render-thread count (>= 1).
-  int thread_count() const { return threads_; }
+  int thread_count() const { return pool_.thread_count(); }
 
   /// Predicted-dirty mask for the transition last_frame → last_frame+1
   /// without rendering (used by the Figure 2 accuracy benchmark).
   PixelMask predict_dirty(int next_frame) const;
 
  private:
-  FrameRenderResult full_render(Framebuffer* fb);
-  FrameRenderResult incremental_render(int frame, Framebuffer* fb);
-  /// Restart on `frame`: its world and a fresh accelerator build.
-  void rebuild_frame_state(int frame);
-  /// A tracer (stats at zero) over world_ and accel_, marking when enabled.
-  void reset_tracer();
-  void expand_to_blocks(PixelMask* mask) const;
+  /// The dirty-pixel step of the transition last_frame_ → a frame whose
+  /// world is `next`: set every pixel to recompute in `mask` and count the
+  /// dirty voxels. Returns true when every voxel is dirty (the whole region
+  /// is set); otherwise `pixels`, when non-null, lists the set pixels as
+  /// ascending region-local indices, block-expanded in block mode.
+  bool find_dirty_pixels(const World& next, const std::vector<int>& changed,
+                         DirtyScratch* scratch, PixelMask* mask,
+                         std::vector<std::uint32_t>* pixels,
+                         std::int64_t* dirty_voxels) const;
+  void expand_to_blocks(PixelMask* mask,
+                        std::vector<std::uint32_t>* pixels) const;
+  void mark_region(PixelMask* mask) const;
 
-  /// Shade the region's pixels (those in `mask`, or all when null) on the
-  /// thread pool, re-marking each one, and sum the chunks' stats.
-  void render_pixels_parallel(const PixelMask* mask, Framebuffer* fb,
-                              FrameRenderResult* result);
+  /// The band loop: shade `pixels` (ascending region-local indices; null =
+  /// every region pixel) on the thread pool, re-marking each one, and sum
+  /// the lanes' stats and marks into `result`.
+  void shade_pixels(const std::vector<std::uint32_t>* pixels, Framebuffer* fb,
+                    FrameRenderResult* result);
 
   const AnimatedScene& scene_;
   PixelRect region_;
   CoherenceOptions options_;
-  int threads_ = 1;
   /// The shot's one lattice: coherence marks and the accelerator both use
   /// it, with coherence on or off.
   VoxelGrid lattice_;
 
-  // Both null when coherence is disabled.
+  // Null when coherence is disabled.
   std::unique_ptr<CoherenceGrid> grid_;
-  std::unique_ptr<RayRecorder> recorder_;
 
   // Per-frame scratch reused across the incremental hot loop: the change
   // detector's voxel-dedup bitset and the dirty-pixel list from
@@ -180,8 +185,7 @@ class CoherentRenderer {
   DirtyScratch dirty_scratch_;
   std::vector<std::uint32_t> dirty_pixels_;
 
-  // Created on the first threaded frame.
-  std::unique_ptr<ThreadPool> pool_;
+  ThreadPool pool_;
 
   // Cached instruments (null when options_.metrics is null): the registry
   // lookup by name happens once at construction, not per frame.
@@ -196,7 +200,6 @@ class CoherentRenderer {
   /// Over world_ on lattice_; built on a restart, updated in place between
   /// consecutive frames.
   std::unique_ptr<UniformGridAccelerator> accel_;
-  std::unique_ptr<Tracer> tracer_;
 };
 
 }  // namespace now

@@ -54,13 +54,6 @@ class RayRecorder final : public RayListener {
                          RayKind kind, const CellTrail& trail) override;
 
   const RayRecorderStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
-  /// Fold another recorder's counts in (the renderer sums its render
-  /// threads' recorders into its own after each parallel frame).
-  void accumulate(const RayRecorderStats& s) {
-    stats_.segments += s.segments;
-    stats_.voxels_visited += s.voxels_visited;
-  }
 
  private:
   /// Mark walk(ray, 0, limit) from its first cell.

@@ -539,7 +539,9 @@ bool RenderMaster::try_speculate(Context& ctx) {
   if (active_tasks == 0 || idle_live <= active_tasks) return false;
 
   // Victim: the active worker expected to hold the end-game longest, not
-  // mid-shrink, and not already paired (one speculative copy per task).
+  // mid-shrink, not parked (a parked request means it rendered its whole
+  // task; a clone would re-render frames already at the shards), and not
+  // already paired (one speculative copy per task).
   // Expected cost is remaining frames × the worker's EWMA per-frame render
   // time from the straggler detector, so a rank that has been consistently
   // slow is duplicated ahead of one that merely holds more frames. With no
@@ -550,7 +552,10 @@ bool RenderMaster::try_speculate(Context& ctx) {
   double best_score = 0.0;
   for (int w = 1; w < static_cast<int>(workers_.size()); ++w) {
     const WorkerState& s = workers_[w];
-    if (!s.active || s.awaiting_ack || s.dead || s.cancelled) continue;
+    if (!s.active || s.awaiting_ack || s.dead || s.cancelled ||
+        s.request_pending) {
+      continue;
+    }
     if (spec_partner_.count(s.task.task_id) > 0) continue;
     const std::int32_t remaining = s.end_frame - s.next_expected;
     if (remaining < 1) continue;
@@ -619,8 +624,9 @@ bool RenderMaster::try_adaptive_split(Context& ctx) {
     if (!s.active || s.awaiting_ack || s.dead || s.cancelled) continue;
     // The master's frontier lags the worker's while digests are in flight,
     // so a declined task would otherwise be proposed again on every
-    // dispatch.
-    if (s.unsplittable) continue;
+    // dispatch; a parked request says the worker rendered its whole task,
+    // so a shrink is certain to be declined.
+    if (s.unsplittable || s.request_pending) continue;
     // A paired task's remainder is already being rendered twice; splitting
     // it a third way only manufactures duplicates.
     if (spec_partner_.count(s.task.task_id) > 0) continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace now {
 
@@ -37,15 +38,19 @@ void RenderWorker::on_message(Context& ctx, const Message& msg) {
       RenderTask task;
       const bool ok = decode_task(&task, msg.payload);
       assert(ok);
+      // A task naming an unknown scene, a region outside that scene's image
+      // or frames outside the scene is dropped: rendering it would write
+      // past the framebuffer, and a NACK would only bring it back verbatim.
+      if (!ok || !task_fits(task)) break;
       // A duplicated assignment of the current task is dropped, not
       // asserted: under fault injection the master's message can
       // legitimately arrive twice. A *different* task while busy means the
       // master's view of us is stale (e.g. a revived worker it had written
       // off) — NACK it so the task is requeued immediately instead of
       // sitting on a dead assignment until its lease expires.
-      if (ok && !task_.has_value()) {
+      if (!task_.has_value()) {
         start_task(ctx, task);
-      } else if (ok && task_->task_id != task.task_id) {
+      } else if (task_->task_id != task.task_id) {
         TaskNack nack;
         nack.task_id = task.task_id;
         ctx.send(0, kTagTaskNack, encode_task_nack(nack));
@@ -82,17 +87,31 @@ void RenderWorker::on_message(Context& ctx, const Message& msg) {
   }
 }
 
+bool RenderWorker::task_fits(const RenderTask& task) const {
+  if (task.scene_id < 0 ||
+      task.scene_id >= static_cast<std::int32_t>(scenes_.size())) {
+    return false;
+  }
+  const AnimatedScene& scene =
+      *scenes_[static_cast<std::size_t>(task.scene_id)];
+  const PixelRect& r = task.region;
+  const std::int64_t first = std::int64_t{task.first_frame} + task.frame_delta;
+  return r.width > 0 && r.height > 0 && r.x0 >= 0 && r.y0 >= 0 &&
+         std::int64_t{r.x0} + r.width <= scene.width() &&
+         std::int64_t{r.y0} + r.height <= scene.height() &&
+         task.first_frame >= 0 && task.frame_count >= 0 &&
+         std::int64_t{task.first_frame} + task.frame_count <=
+             std::numeric_limits<std::int32_t>::max() &&
+         first >= 0 && first + task.frame_count <= scene.frame_count();
+}
+
 void RenderWorker::start_task(Context& ctx, const RenderTask& task) {
   assert(!task_.has_value() && "worker already busy");
-  assert(task.scene_id >= 0 &&
-         task.scene_id < static_cast<std::int32_t>(scenes_.size()) &&
-         "task names a scene this worker does not hold");
   task_ = task;
   next_frame_ = task.first_frame;
   end_frame_ = task.end_frame();
-  const AnimatedScene& scene = *scenes_[static_cast<std::size_t>(
-      task.scene_id < static_cast<std::int32_t>(scenes_.size()) ? task.scene_id
-                                                                : 0)];
+  const AnimatedScene& scene =
+      *scenes_[static_cast<std::size_t>(task.scene_id)];
   // Fresh coherence state per task: the first frame of every task is a full
   // render (the cost that separates the partitioning schemes) and therefore
   // a dense key frame on the wire — reassigned, speculative, and
@@ -153,8 +172,8 @@ void RenderWorker::render_next_frame(Context& ctx) {
   }
 
   // Intra-node parallelism instrumentation: one complete (X) span and one
-  // histogram sample per parallel render chunk. r.chunks is wall-clock data
-  // and is empty when the frame rendered sequentially (threads = 1).
+  // histogram sample per render chunk. r.chunks is wall-clock data and is
+  // empty when the renderer runs one thread.
   for (const ChunkTiming& chunk : r.chunks) {
     chunk_seconds_hist_->observe(chunk.seconds);
     if (config_.tracer != nullptr) {

@@ -84,6 +84,9 @@ class RenderWorker final : public Actor {
   const WorkerReport& report() const { return report_; }
 
  private:
+  /// The task names a known scene, a non-empty region inside that scene's
+  /// image, and frames (plus frame_delta) inside the scene.
+  bool task_fits(const RenderTask& task) const;
   void start_task(Context& ctx, const RenderTask& task);
   void render_next_frame(Context& ctx);
   void handle_shrink(Context& ctx, const ShrinkRequest& req);

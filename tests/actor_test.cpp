@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -228,6 +229,56 @@ TEST_F(WorkerProtocol, BusyWorkerNacksDifferentTaskOnly) {
   const std::vector<int> frames = drain_continuations();
   EXPECT_EQ(frames, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(worker_.report().tasks_completed, 1);
+}
+
+/// Tasks that decode but lie outside the fixture's one 32x24, 8-frame scene.
+std::vector<RenderTask> out_of_range_tasks() {
+  const std::int32_t big = std::numeric_limits<std::int32_t>::max();
+  std::vector<RenderTask> bad = {
+      {20, {0, 0, 32, 24}, 0, 2, 0, /*scene_id=*/1, 0},   // unknown scene
+      {21, {0, 0, 32, 24}, 0, 2, 0, /*scene_id=*/-1, 0},  // negative scene
+      {22, {0, 0, 0, 24}, 0, 2},                          // empty region
+      {23, {0, 0, 32, -4}, 0, 2},                         // negative height
+      {24, {-1, 0, 32, 24}, 0, 2},                        // left of image
+      {25, {16, 0, 32, 24}, 0, 2},                        // past right edge
+      {26, {0, 8, 32, 24}, 0, 2},                         // past bottom edge
+      {27, {0, 0, 32, 24}, 0, big},                       // huge frame count
+      {28, {0, 0, 32, 24}, 6, 4},                         // past last frame
+      {29, {0, 0, 32, 24}, -1, 2},                        // before frame 0
+      {30, {0, 0, 32, 24}, 0, -2},                        // negative count
+      {31, {0, 0, 32, 24}, 0, 4, 0, 0, /*frame_delta=*/5},   // shifted out
+      {32, {0, 0, 32, 24}, 0, 4, 0, 0, /*frame_delta=*/-1},  // shifted below
+      {33, {0, 0, 32, 24}, big - 1, 4, 0, 0, -(big - 1)},    // end overflows
+  };
+  return bad;
+}
+
+TEST_F(WorkerProtocol, OutOfRangeTasksAreDroppedUnanswered) {
+  for (const RenderTask& task : out_of_range_tasks()) {
+    SCOPED_TRACE("task " + std::to_string(task.task_id));
+    worker_.on_message(ctx_, msg_from(0, kTagTask, encode_task(task)));
+    EXPECT_TRUE(ctx_.sent.empty());  // no continuation, result or NACK
+  }
+  EXPECT_EQ(worker_.report().frames_rendered, 0);
+  EXPECT_EQ(ctx_.charged, 0.0);
+  // The worker is still idle: a valid task runs normally afterwards.
+  const std::vector<int> frames = run_task({1, {0, 0, 32, 24}, 6, 2});
+  EXPECT_EQ(frames, (std::vector<int>{6, 7}));
+}
+
+TEST_F(WorkerProtocol, BusyWorkerDropsOutOfRangeTasksWithoutNack) {
+  worker_.on_message(
+      ctx_, msg_from(0, kTagTask, encode_task({5, {0, 0, 32, 24}, 0, 3})));
+  const std::size_t sent = ctx_.sent.size();  // the first continuation
+  // A NACK would make the master requeue the bad task verbatim.
+  for (const RenderTask& task : out_of_range_tasks()) {
+    SCOPED_TRACE("task " + std::to_string(task.task_id));
+    worker_.on_message(ctx_, msg_from(0, kTagTask, encode_task(task)));
+    EXPECT_EQ(ctx_.sent.size(), sent);
+  }
+  const std::vector<int> frames = drain_continuations();
+  EXPECT_EQ(frames, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(worker_.report().frames_rendered, 3);
 }
 
 TEST_F(WorkerProtocol, ShrinkToZeroFramesCountsShrunkAwayNotCompleted) {

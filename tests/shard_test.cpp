@@ -11,6 +11,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -810,6 +812,81 @@ TEST(ShardFarm, SlowShardDoesNotReproposeADeclinedSplit) {
   EXPECT_LE(declined, accepted);
   EXPECT_EQ(result.metrics.counter("sched.shrinks_declined"),
             static_cast<std::uint64_t>(declined));
+}
+
+TEST(ShardFarm, ParkedWorkerIsNeverAShrinkOrCloneVictim) {
+  // The slowed shard's digests trail the workers, so a worker that has
+  // rendered its whole task asks for more while the scheduler still counts
+  // frames outstanding: its kTagRequest is parked. A shrink sent to it is
+  // certain to be declined, and a clone of it re-renders frames already at
+  // the shards, so neither end-game move may pick it.
+  CradleParams params;
+  params.frames = 60;
+  params.width = 160;
+  params.height = 120;
+  params.amplitude_degrees = 0.0;
+  const AnimatedScene scene = newton_cradle_scene(params);
+  FarmConfig config;
+  config.backend = FarmBackend::kSim;
+  config.worker_speeds = {1.0, 1.0, 0.3};
+  config.partition.scheme = PartitionScheme::kSequenceDivision;
+  config.speculation = true;
+  config.obs.trace = true;
+  const FarmResult single = render_farm(scene, config);
+  config.shards = 2;
+  const int last_shard_rank = 3 + 2;
+  config.fault_plan.events.push_back(
+      FaultPlan::slowdown_window(last_shard_rank, 0.0, 1e9, 0.05));
+  const FarmResult result = render_farm(scene, config);
+  expect_frames_equal(result.frames, single.frames, "parked worker");
+
+  // Replay the scheduler's view from its own trace: a worker whose request
+  // arrived after its last assignment is idle or parked, never a victim.
+  struct View {
+    bool asked = false;
+    std::int64_t first = 0;
+    std::int64_t end = 0;
+    std::set<std::int64_t> digested;
+  };
+  std::map<std::int64_t, View> workers;
+  const auto arg = [](const TraceEvent& e, const char* key) {
+    for (const TraceEvent::Arg& a : e.args) {
+      if (std::string(a.key) == key) return a.value;
+    }
+    ADD_FAILURE() << e.name << " has no " << key;
+    return std::int64_t{-1};
+  };
+  int parked = 0;
+  int victims = 0;
+  for (const TraceEvent& e : result.trace_events) {
+    if (e.rank != 0) continue;
+    const std::string name = e.name;
+    if (name == "task.assign") {
+      View& w = workers[arg(e, "worker")];
+      w = View{};
+      w.first = arg(e, "first_frame");
+      w.end = w.first + arg(e, "frames");
+    } else if (name == "task.split") {
+      workers[arg(e, "victim")].end = arg(e, "first_frame");
+    } else if (name == "frame.digest") {
+      View& w = workers[arg(e, "worker")];
+      const std::int64_t f = arg(e, "frame");
+      if (f >= w.first && f < w.end) w.digested.insert(f);
+    } else if (name == "net.recv" && arg(e, "tag") == kTagRequest) {
+      View& w = workers[arg(e, "src")];
+      w.asked = true;
+      if (static_cast<std::int64_t>(w.digested.size()) < w.end - w.first) {
+        ++parked;
+      }
+    } else if (name == "task.shrink" || name == "task.speculate") {
+      ++victims;
+      EXPECT_FALSE(workers[arg(e, "victim")].asked)
+          << name << " at t=" << e.ts_seconds << " targets parked worker "
+          << arg(e, "victim");
+    }
+  }
+  ASSERT_GT(parked, 0);
+  EXPECT_GT(victims, 0);
 }
 
 }  // namespace

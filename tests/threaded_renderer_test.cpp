@@ -1,8 +1,9 @@
 // Intra-worker parallelism: a CoherentRenderer with threads = N must produce
 // byte-identical output to threads = 1 — the framebuffer, every
 // FrameRenderResult counter, and the coherence grid's mark statistics (the
-// `chunks` wall-clock metadata is explicitly excluded). Also covers the
-// ThreadPool primitive itself.
+// `chunks` wall-clock metadata is explicitly excluded) — and every frame
+// must equal a from-scratch render_world of it. Also covers the ThreadPool
+// primitive itself.
 #include <atomic>
 #include <stdexcept>
 #include <vector>
@@ -117,6 +118,13 @@ void expect_identical_runs(const AnimatedScene& scene, const PixelRect& region,
     SCOPED_TRACE("frame " + std::to_string(f) + ", threads " +
                  std::to_string(threads));
     EXPECT_EQ(a.fb, b.fb);
+    // Both sides run the same band loop, so they are also held against a
+    // from-scratch render of the frame.
+    const Framebuffer ref =
+        render_world(scene.world_at(static_cast<int>(f)), scene.width(),
+                     scene.height(), options.trace);
+    EXPECT_TRUE(a.fb.extract(region) == ref.extract(region));
+    EXPECT_TRUE(b.fb.extract(region) == ref.extract(region));
     EXPECT_EQ(a.result.pixels_recomputed, b.result.pixels_recomputed);
     EXPECT_EQ(a.result.pixels_total, b.result.pixels_total);
     EXPECT_EQ(a.result.dirty_voxels, b.result.dirty_voxels);

@@ -96,6 +96,13 @@
 // Camera cuts in the scene are reported up front; the coherence renderer
 // restarts automatically at each cut (a stationary camera per shot is the
 // algorithm's requirement, Section 3 of the paper).
+//
+// Each worker holds the coherence state of the last region it rendered, and
+// the scheduler prefers to give it that region again: a stolen remainder,
+// a reassigned task, the next subsequence of a --scheme hybrid tile or the
+// next shot of a tile continues from the held frame instead of paying a
+// full render (the paper's slaves restart coherence with every task). Only
+// work counters and timings change; the frames are the same bytes.
 #include <cerrno>
 #include <cmath>
 #include <cstdio>

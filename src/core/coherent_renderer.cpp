@@ -55,20 +55,16 @@ CoherentRenderer::CoherentRenderer(const AnimatedScene& scene,
 FrameRenderResult CoherentRenderer::render_frame(int frame, Framebuffer* fb) {
   assert(fb->width() >= region_.x0 + region_.width &&
          fb->height() >= region_.y0 + region_.height);
-  // A camera or light move invalidates everything the grid knows: restart
-  // with a full render (lights are outside the voxel change model).
-  const bool continues_sequence =
-      options_.enabled && last_frame_ >= 0 && frame == last_frame_ + 1 &&
-      !scene_.camera_changed(last_frame_, frame) &&
-      !scene_.lights_changed(last_frame_, frame);
+  const bool continues_sequence = continues_from_last(frame);
 
   FrameRenderResult result;
   result.full_render = !continues_sequence;
   result.pixels_total = region_.area();
   result.recomputed = PixelMask(fb->width(), fb->height());
 
-  // 1. What to shade: the pixels whose rays crossed a changed voxel, or
-  // every region pixel (a null list) on a restart or an all-dirty frame.
+  // 1. What to shade: the pixels whose rays crossed a voxel that changes
+  // between the last frame and this one, or every region pixel (a null list)
+  // on a restart or an all-dirty frame.
   World next = scene_.world_at(frame);
   std::vector<int> changed;
   const std::vector<std::uint32_t>* pixels = nullptr;
@@ -112,6 +108,34 @@ FrameRenderResult CoherentRenderer::render_frame(int frame, Framebuffer* fb) {
   return result;
 }
 
+bool CoherentRenderer::continues_from_last(int frame) const {
+  // A camera or light move invalidates everything the grid knows: restart
+  // with a full render (lights are outside the voxel change model). Which
+  // frames lie between the two does not matter: the change detector compares
+  // the two worlds directly.
+  return options_.enabled && last_frame_ >= 0 &&
+         !scene_.camera_changed(last_frame_, frame) &&
+         !scene_.lights_changed(last_frame_, frame);
+}
+
+namespace {
+
+/// One pool lane's shading state. Aligned to a cache line, so the per-ray
+/// counters one lane bumps (tracer stats, trail, recorder stats) never share
+/// a line with a neighbouring lane's.
+struct alignas(64) ShadeLane {
+  ShadeLane(const World& world, const Accelerator& accel,
+            const TraceOptions& trace, CoherenceGrid* grid,
+            bool record_shadow_rays, int lane)
+      : tracer(world, accel, trace),
+        recorder(grid, record_shadow_rays, lane) {}
+
+  Tracer tracer;
+  RayRecorder recorder;
+};
+
+}  // namespace
+
 void CoherentRenderer::shade_pixels(const std::vector<std::uint32_t>* pixels,
                                     Framebuffer* fb,
                                     FrameRenderResult* result) {
@@ -124,15 +148,15 @@ void CoherentRenderer::shade_pixels(const std::vector<std::uint32_t>* pixels,
   const auto width = static_cast<std::uint32_t>(region_.width);
 
   // One tracer and recorder per pool lane; the recorder marks through the
-  // grid lane of the same index.
-  std::vector<RayRecorder> recorders;
-  std::vector<Tracer> tracers;
-  recorders.reserve(static_cast<std::size_t>(lanes));
-  tracers.reserve(static_cast<std::size_t>(lanes));
+  // grid lane of the same index. Reserved up front: each tracer points at
+  // its lane's recorder.
+  std::vector<ShadeLane> shade_lanes;
+  shade_lanes.reserve(static_cast<std::size_t>(lanes));
   for (int lane = 0; lane < lanes; ++lane) {
-    recorders.emplace_back(grid_.get(), options_.record_shadow_rays, lane);
-    tracers.emplace_back(world_, *accel_, options_.trace);
-    if (grid_ != nullptr) tracers.back().set_listener(&recorders.back());
+    ShadeLane& l = shade_lanes.emplace_back(world_, *accel_, options_.trace,
+                                            grid_.get(),
+                                            options_.record_shadow_rays, lane);
+    if (grid_ != nullptr) l.tracer.set_listener(&l.recorder);
   }
   // Chunk timings only above one thread: they would make a one-thread
   // frame's result nondeterministic, and their clock reads cost more than
@@ -145,7 +169,7 @@ void CoherentRenderer::shade_pixels(const std::vector<std::uint32_t>* pixels,
       timed ? Clock::now() : Clock::time_point{};
   pool_.parallel_for(chunk_count, [&](int c, int lane) {
     const Clock::time_point chunk_start = timed ? Clock::now() : frame_start;
-    Tracer& tracer = tracers[static_cast<std::size_t>(lane)];
+    Tracer& tracer = shade_lanes[static_cast<std::size_t>(lane)].tracer;
     const auto shade = [&](int x, int y) {
       if (grid_ != nullptr) grid_->begin_pixel(x, y, lane);
       fb->set(x, y, tracer.shade_pixel(x, y, fb->width(), fb->height()));
@@ -184,10 +208,10 @@ void CoherentRenderer::shade_pixels(const std::vector<std::uint32_t>* pixels,
 
   // The marks are already in the grid; every stat counter is an integer,
   // so the sums over the lanes do not depend on which lane shaded a band.
-  for (int lane = 0; lane < lanes; ++lane) {
-    result->stats += tracers[static_cast<std::size_t>(lane)].stats();
-    result->voxels_marked += static_cast<std::int64_t>(
-        recorders[static_cast<std::size_t>(lane)].stats().voxels_visited);
+  for (const ShadeLane& l : shade_lanes) {
+    result->stats += l.tracer.stats();
+    result->voxels_marked +=
+        static_cast<std::int64_t>(l.recorder.stats().voxels_visited);
   }
   result->pixels_recomputed = pixels == nullptr
                                   ? region_.area()
@@ -250,7 +274,7 @@ void CoherentRenderer::expand_to_blocks(
 }
 
 PixelMask CoherentRenderer::predict_dirty(int next_frame) const {
-  assert(last_frame_ >= 0 && next_frame == last_frame_ + 1);
+  assert(continues_from_last(next_frame));
   PixelMask mask(scene_.width(), scene_.height());
   DirtyScratch scratch;
   std::int64_t dirty_voxels = 0;

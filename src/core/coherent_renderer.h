@@ -11,10 +11,14 @@
 //     recomputation in the next frame
 //
 // The renderer owns a persistent CoherenceGrid spanning the whole animation
-// extent and renders frames of a pixel region in ascending order. The first
-// frame (or any out-of-sequence frame, or a frame across a camera cut) is a
-// full render; subsequent consecutive frames recompute only predicted-dirty
-// pixels. Output is guaranteed byte-identical to a from-scratch render.
+// extent and renders frames of a pixel region in any order. The first frame,
+// and any frame whose camera or lights differ from the last rendered one's,
+// is a full render; every other frame recomputes only the predicted-dirty
+// pixels. The last frame need not be the one before: a pixel whose marked
+// voxels no moving object occupies at either frame has the same ray tree at
+// both, whatever happened in between, so a forward jump, a backward jump or
+// a repeated frame continues too (a repeat recomputes nothing). Output is
+// guaranteed byte-identical to a from-scratch render.
 //
 // One lattice serves the whole shot, as in the paper: the coherence grid's
 // voxels are also the ray accelerator's cells, with coherence on or off.
@@ -125,9 +129,10 @@ class CoherentRenderer {
   CoherentRenderer(const AnimatedScene& scene, const PixelRect& region,
                    const CoherenceOptions& options = {});
 
-  /// Render `frame` into `fb` (full image size). Frames rendered in
-  /// ascending consecutive order reuse coherence; anything else triggers a
-  /// full render of the region.
+  /// Render `frame` into `fb` (full image size). `fb` must hold this
+  /// region's pixels of the last frame rendered: a frame with the last
+  /// frame's camera and lights reuses coherence, in any order; anything else
+  /// triggers a full render of the region.
   FrameRenderResult render_frame(int frame, Framebuffer* fb);
 
   /// The mark store; only valid when coherence is enabled.
@@ -145,11 +150,16 @@ class CoherentRenderer {
   /// Resolved render-thread count (>= 1).
   int thread_count() const { return pool_.thread_count(); }
 
-  /// Predicted-dirty mask for the transition last_frame → last_frame+1
-  /// without rendering (used by the Figure 2 accuracy benchmark).
+  /// Predicted-dirty mask for the transition last_frame → next_frame
+  /// without rendering (used by the Figure 2 accuracy benchmark). The two
+  /// frames must share camera and lights.
   PixelMask predict_dirty(int next_frame) const;
 
  private:
+  /// A frame rendered now continues from last_frame_: coherence is on, a
+  /// frame was rendered, and camera and lights are the same at both.
+  bool continues_from_last(int frame) const;
+
   /// The dirty-pixel step of the transition last_frame_ → a frame whose
   /// world is `next`: set every pixel to recompute in `mask` and count the
   /// dirty voxels. Returns true when every voxel is dirty (the whole region
@@ -165,7 +175,9 @@ class CoherentRenderer {
 
   /// The band loop: shade `pixels` (ascending region-local indices; null =
   /// every region pixel) on the thread pool, re-marking each one, and sum
-  /// the lanes' stats and marks into `result`.
+  /// the lanes' stats and marks into `result`. Each lane's tracer and
+  /// recorder share one cache-line-aligned ShadeLane, so the per-ray counters
+  /// of neighbouring lanes never share a line.
   void shade_pixels(const std::vector<std::uint32_t>* pixels, Framebuffer* fb,
                     FrameRenderResult* result);
 
@@ -197,8 +209,8 @@ class CoherentRenderer {
 
   int last_frame_ = -1;
   World world_;  // world of last_frame_
-  /// Over world_ on lattice_; built on a restart, updated in place between
-  /// consecutive frames.
+  /// Over world_ on lattice_; built on a restart, updated in place when a
+  /// frame continues from the last.
   std::unique_ptr<UniformGridAccelerator> accel_;
 };
 

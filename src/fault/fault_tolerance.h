@@ -9,9 +9,9 @@
 // pong without progress means the task is stuck (lost in transit) and is
 // written off while the worker lives on. A dead worker's unfinished frames
 // are reclaimed and re-enqueued —
-// the replacement pays a fresh full first-frame render, exactly the
-// coherence-restart cost the paper's Section 3 analysis prices for adaptive
-// re-splitting.
+// a replacement that holds no coherence state for the region pays a fresh
+// full first-frame render, exactly the coherence-restart cost the paper's
+// Section 3 analysis prices for adaptive re-splitting.
 #pragma once
 
 #include <cstdint>
@@ -72,8 +72,9 @@ struct FaultReport {
   /// Compute seconds carried by discarded frame results (work performed by
   /// a worker but thrown away by the master).
   double lost_work_seconds = 0.0;
-  /// Compute seconds spent on the full first-frame renders of reassigned
-  /// tasks — the coherence-restart price of each recovery.
+  /// Compute seconds spent on the first frames of reassigned tasks — the
+  /// restart price of each recovery: a full render, or a warm one when the
+  /// replacement worker holds the region's coherence state.
   double restart_work_seconds = 0.0;
   /// Sum over deaths of (declaration time − last message heard).
   double detection_latency_seconds = 0.0;

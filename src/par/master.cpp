@@ -254,7 +254,7 @@ void RenderMaster::on_shutdown(Context& ctx) {
   };
   release(committed_rects_);
   release(cancelled_tasks_);
-  release(reassigned_tasks_);
+  release(reassigned_first_frame_);
   release(spec_tasks_);
   release(spec_clone_tasks_);
   for (Shot& shot : shots_) release(shot.queue);
@@ -300,10 +300,9 @@ void RenderMaster::on_message(Context& ctx, const Message& msg) {
       break;
     case kTagFrameResult: {
       if (assembler_ == nullptr) {
-        // Sharded workers route pixels straight to the owning shard; reaching
-        // this is a routing bug, not a runtime fault.
-        assert(false && "frame result delivered to thin scheduler");
-        metrics_.counter("recovery.results_ignored").inc();
+        // Sharded workers route pixels straight to the owning shard: a frame
+        // result here has no assembler to go to.
+        count_malformed_message(metrics_, msg.tag);
         break;
       }
       const FrameAssembler::Commit c =
@@ -344,7 +343,8 @@ void RenderMaster::on_message(Context& ctx, const Message& msg) {
       handle_client_done(ctx, msg.source);
       break;
     default:
-      assert(false && "master received unexpected tag");
+      count_malformed_message(metrics_, msg.tag);
+      break;
   }
 }
 
@@ -481,27 +481,22 @@ void RenderMaster::dispatch(Context& ctx) {
       workers_[worker].queued = false;
       continue;
     }
-    const int sid = pick_shot();
-    if (sid >= 0) {
-      // Scan the shot's queue for the first dispatchable task. A
-      // speculation winner (or an overlap from reclaim) may have covered a
-      // task entirely while it waited: drop it instead of paying a worker to
-      // render duplicates. A task touching a dead shard's frames stays
-      // queued — its results would be lost — until the replacement shard
-      // re-admits.
-      Shot& shot = shots_[sid];
-      auto it = shot.queue.begin();
-      while (it != shot.queue.end()) {
-        if (task_fully_committed(*it)) {
-          it = shot.queue.erase(it);
-          continue;
-        }
-        if (!task_blocked_by_dead_shard(*it)) break;
-        ++it;
+    const int picked = pick_shot();
+    if (picked >= 0) {
+      // The picked tenant's task for the region this worker holds coherence
+      // state for, if one is queued: it continues warm instead of paying a
+      // full first frame. Only a hint — any task is correct on any worker.
+      int sid = -1;
+      auto it = held_region_task(worker, shots_[picked].tenant, &sid);
+      if (sid < 0) {
+        // Otherwise the picked shot's first dispatchable task.
+        sid = picked;
+        it = first_dispatchable(shots_[sid].queue, nullptr);
+        // pick_shot vouched for an uncommitted task, so finding none means
+        // every one left is held: wait for the shard to rejoin.
+        if (it == shots_[sid].queue.end()) break;
       }
-      // pick_shot vouched for an uncommitted task, so finding none means
-      // every one left is held: wait for the shard to rejoin.
-      if (it == shot.queue.end()) break;
+      Shot& shot = shots_[sid];
       const RenderTask task = *it;
       shot.queue.erase(it);
       idle_.pop_front();
@@ -521,6 +516,45 @@ void RenderMaster::dispatch(Context& ctx) {
   }
   preempt_if_backlogged(ctx);
   queue_depth_.set(static_cast<double>(queued_tasks()));
+}
+
+std::deque<RenderTask>::iterator RenderMaster::first_dispatchable(
+    std::deque<RenderTask>& queue, const WorkerState* holder) {
+  // A speculation winner (or an overlap from reclaim) may have covered a task
+  // entirely while it waited: drop it instead of paying a worker to render
+  // duplicates. A task touching a dead shard's frames stays queued — its
+  // results would be lost — until the replacement shard re-admits.
+  auto it = queue.begin();
+  while (it != queue.end()) {
+    if (holder != nullptr && (it->scene_id != holder->task.scene_id ||
+                              it->region != holder->task.region)) {
+      ++it;
+      continue;
+    }
+    if (task_fully_committed(*it)) {
+      it = queue.erase(it);
+      continue;
+    }
+    if (!task_blocked_by_dead_shard(*it)) break;
+    ++it;
+  }
+  return it;
+}
+
+std::deque<RenderTask>::iterator RenderMaster::held_region_task(int worker,
+                                                                int tenant,
+                                                                int* sid) {
+  for (int s = 0; s < static_cast<int>(shots_.size()); ++s) {
+    Shot& shot = shots_[s];
+    if (shot.tenant != tenant || shot.phase != ShotPhase::kActive) continue;
+    const auto it = first_dispatchable(shot.queue, &workers_[worker]);
+    if (it != shot.queue.end()) {
+      *sid = s;
+      return it;
+    }
+  }
+  *sid = -1;
+  return {};
 }
 
 bool RenderMaster::try_speculate(Context& ctx) {
@@ -657,9 +691,10 @@ bool RenderMaster::try_adaptive_split(Context& ctx) {
 
 void RenderMaster::handle_shrink_ack(Context& ctx, const Message& msg) {
   ShrinkAck ack;
-  const bool ok = decode_shrink_ack(&ack, msg.payload);
-  assert(ok);
-  if (!ok) return;
+  if (!decode_shrink_ack(&ack, msg.payload)) {
+    count_malformed_message(metrics_, msg.tag);
+    return;
+  }
   if (msg.source < 1 || msg.source >= static_cast<int>(workers_.size())) {
     return;
   }
@@ -698,9 +733,10 @@ void RenderMaster::handle_shrink_ack(Context& ctx, const Message& msg) {
 
 void RenderMaster::handle_task_nack(Context& ctx, const Message& msg) {
   TaskNack nack;
-  const bool ok = decode_task_nack(&nack, msg.payload);
-  assert(ok);
-  if (!ok) return;
+  if (!decode_task_nack(&nack, msg.payload)) {
+    count_malformed_message(metrics_, msg.tag);
+    return;
+  }
   if (msg.source < 1 || msg.source >= static_cast<int>(workers_.size())) {
     return;
   }
@@ -738,25 +774,31 @@ void RenderMaster::release_pending_request(Context& ctx, int worker) {
 void RenderMaster::receive_commit_digest(Context& ctx, const Message& msg) {
   ep_digest_bytes_.inc(msg.payload.size());
   CommitDigest d;
-  if (!decode_commit_digest(&d, msg.payload)) {
-    assert(false && "malformed commit digest from shard");
+  // Only shard ranks digest, and an owner only digests frames it holds: a
+  // digest from anyone else, or for a frame outside the animation, is as
+  // malformed as bytes that do not decode.
+  const int shard = msg.source - static_cast<int>(workers_.size());
+  if (!config_.shards.sharded() || shard < 0 ||
+      shard >= config_.shards.shard_count ||
+      !decode_commit_digest(&d, msg.payload) ||
+      (d.kind != CommitKind::kDecodeFail &&
+       (d.frame < 0 ||
+        d.frame >= static_cast<int>(frame_area_missing_.size())))) {
+    count_malformed_message(metrics_, msg.tag);
     return;
   }
-  if (!shard_states_.empty()) {
-    const int shard = msg.source - static_cast<int>(workers_.size());
-    if (shard >= 0 && shard < static_cast<int>(shard_states_.size()) &&
-        shard_states_[shard].dead) {
-      // A declared-dead incarnation is still talking. Its commits were
-      // rolled back here, so its digests mean nothing anymore — and its
-      // in-memory chain state is poison for future results. Fence it: force
-      // a rebuild from the journal segment, exactly once per death.
-      metrics_.counter("recovery.results_ignored").inc();
-      if (!shard_states_[shard].reset_sent) {
-        shard_states_[shard].reset_sent = true;
-        ctx.send(msg.source, kTagShardReset, {});
-      }
-      return;
+  // shard_states_ is empty when shard liveness is off, else one per shard.
+  if (!shard_states_.empty() && shard_states_[shard].dead) {
+    // A declared-dead incarnation is still talking. Its commits were rolled
+    // back here, so its digests mean nothing anymore — and its in-memory
+    // chain state is poison for future results. Fence it: force a rebuild
+    // from the journal segment, exactly once per death.
+    metrics_.counter("recovery.results_ignored").inc();
+    if (!shard_states_[shard].reset_sent) {
+      shard_states_[shard].reset_sent = true;
+      ctx.send(msg.source, kTagShardReset, {});
     }
+    return;
   }
   handle_commit_digest(ctx, d);
 }
@@ -796,9 +838,11 @@ void RenderMaster::handle_commit_digest(Context& ctx, const CommitDigest& d) {
       if (d.full_render) full_renders_.inc();
       worker_compute_seconds_.add(d.compute_seconds);
       if (known_worker) frames_by_rank_[d.worker]->inc();
-      if (d.full_render && reassigned_tasks_.count(d.task_id) > 0) {
-        // The coherence-restart price of recovery: the replacement's dense
-        // first frame re-renders pixels the dead worker had already paid for.
+      const auto reassigned = reassigned_first_frame_.find(d.task_id);
+      if (reassigned != reassigned_first_frame_.end() &&
+          reassigned->second == d.frame) {
+        // The restart price of recovery: the replacement's first frame,
+        // a full render or (on a worker holding the region) a warm one.
         metrics_.gauge("recovery.restart_work_seconds").add(d.compute_seconds);
       }
       if (config_.tracer != nullptr) {
@@ -1003,7 +1047,7 @@ void RenderMaster::cancel_and_reclaim(Context& ctx, int worker) {
 void RenderMaster::reclaim(Context& ctx, Shot& shot, RenderTask task,
                            int worker) {
   task.task_id = next_task_id_++;
-  reassigned_tasks_.insert(task.task_id);
+  reassigned_first_frame_[task.task_id] = task.first_frame;
   if (config_.tracer != nullptr) {
     std::vector<TraceEvent::Arg> args = {{"task", task.task_id},
                                          {"first_frame", task.first_frame},
@@ -1389,7 +1433,7 @@ void RenderMaster::restore_from_checkpoint(Context& ctx,
       task.region = rect;
       task.first_frame = f;
       task.frame_count = b - f;
-      if (recovery_restart) reassigned_tasks_.insert(task.task_id);
+      if (recovery_restart) reassigned_first_frame_[task.task_id] = f;
       requeue(task);
       ++tasks_restored;
       f = b;
@@ -1436,7 +1480,7 @@ void RenderMaster::restore_from_checkpoint(Context& ctx,
     task.region = whole;
     task.first_frame = wf;
     task.frame_count = b - wf;
-    reassigned_tasks_.insert(task.task_id);
+    reassigned_first_frame_[task.task_id] = task.first_frame;
     requeue(task);
     ++tasks_restored;
     wf = b;

@@ -33,8 +33,9 @@
 // expires is pinged once; after the grace period, no pong means the worker
 // is dead, while a pong without progress means the worker is alive but the
 // task is stuck (e.g. the assignment was lost in transit) — either way the
-// unfinished frames are re-enqueued as a fresh task whose renderer pays a
-// full first-frame restart (the paper's coherence-restart cost). Messages
+// unfinished frames are re-enqueued as a fresh task whose first frame pays a
+// full render (the paper's coherence-restart cost) unless its worker already
+// holds the region's coherence state. Messages
 // from dead ranks are ignored forever; duplicated results and results for
 // cancelled tasks are discarded; a gap in a worker's result stream (a lost
 // frame result, even the task's dense key frame) cancels the task and
@@ -277,6 +278,9 @@ class RenderMaster final : public Actor {
     bool queued = false;       // sitting in the idle queue
     bool dead = false;         // lease expired; rank is ignored forever
     bool cancelled = false;    // current task written off (results ignored)
+    /// The last task assigned since the rank (re)joined: the worker holds
+    /// the coherence state of its scene and region, busy or idle. Before
+    /// the first assignment its region is empty, which no queued task's is.
     RenderTask task;
     std::int32_t next_expected = 0;  // first unreported frame
     std::int32_t end_frame = 0;      // master's view (post-shrink)
@@ -389,6 +393,17 @@ class RenderMaster final : public Actor {
   /// no split or speculation while work is held), else split, else
   /// speculate; then preempt speculation if a tenant's backlog waits.
   void dispatch(Context& ctx);
+  /// First task of `queue` a worker can take now, pruning fully committed
+  /// ones on the way; with `holder`, only a task of the scene and region of
+  /// holder->task. queue.end() when none.
+  std::deque<RenderTask>::iterator first_dispatchable(
+      std::deque<RenderTask>& queue, const WorkerState* holder);
+  /// The dispatch preference: the first dispatchable task, across
+  /// `tenant`'s active shots in shot-id order, for the scene and region
+  /// whose coherence state `worker` holds. Sets *sid to its shot, or to -1
+  /// (and returns a singular iterator) when there is none.
+  std::deque<RenderTask>::iterator held_region_task(int worker, int tenant,
+                                                    int* sid);
   bool try_adaptive_split(Context& ctx);
   /// End-game: clone the slowest active task onto an idle worker. Returns
   /// true when a clone was dispatched.
@@ -410,7 +425,7 @@ class RenderMaster final : public Actor {
   void write_checkpoint();
   /// Write off the worker's current task: results for it are ignored from
   /// now on, and the frames not yet delivered are re-enqueued as a fresh
-  /// task (whose first frame will be a full coherence-restart render).
+  /// recovery task (see reclaim).
   void cancel_and_reclaim(Context& ctx, int worker);
   /// cancel_and_reclaim, then shrink the worker back to what it delivered.
   void write_off(Context& ctx, int worker);
@@ -500,8 +515,8 @@ class RenderMaster final : public Actor {
   /// that shot is no longer active.
   bool requeue(const RenderTask& task);
   /// Queue `task` (fresh id) on `shot` as recovery work whose first frame
-  /// pays a full coherence restart, and count it. `worker` is the rank it
-  /// was taken from (-1: cells lost with a shard).
+  /// is its restart price, and count it. `worker` is the rank it was taken
+  /// from (-1: cells lost with a shard).
   void reclaim(Context& ctx, Shot& shot, RenderTask task, int worker);
   /// Tasks queued across all shots (sched.queue_depth, /status).
   std::int64_t queued_tasks() const;
@@ -527,7 +542,9 @@ class RenderMaster final : public Actor {
   bool stopping_ = false;
 
   std::set<std::int32_t> cancelled_tasks_;   // results discarded
-  std::set<std::int32_t> reassigned_tasks_;  // recovery tasks (restart cost)
+  /// Recovery tasks → their first frame, whose compute time is the restart
+  /// price (recovery.restart_work_seconds).
+  std::map<std::int32_t, std::int32_t> reassigned_first_frame_;
 
   /// Digest-fed mirror of the owners' idempotent-commit gates: per frame,
   /// the packed rects already committed. Scheduling only (dispatch skips

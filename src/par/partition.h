@@ -2,8 +2,11 @@
 //
 //   Sequence division — each worker receives a consecutive subsequence of
 //     whole frames ("each processor would be assigned 30 240x320 frames").
-//     Frame coherence applies within each subsequence; adaptive re-splitting
-//     keeps all processors busy at the cost of extra full first-frames.
+//     In the paper frame coherence applies within each subsequence, and
+//     adaptive re-splitting keeps all processors busy at the cost of extra
+//     full first-frames. Here every region is the whole frame, so a worker
+//     that has rendered before continues its held coherence state into any
+//     subsequence it is given (see RenderWorker).
 //
 //   Frame division — each frame is divided into subareas assigned to a
 //     worker for the entire animation ("80x80 pixel subareas were assigned

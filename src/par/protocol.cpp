@@ -126,4 +126,9 @@ bool decode_frame_result(FrameResult* result, const std::string& payload) {
   return (kind == kFrameKindKey) == result->payload.dense;
 }
 
+void count_malformed_message(MetricsRegistry& metrics, int tag) {
+  metrics.counter("net.malformed_messages").inc();
+  metrics.counter("net.malformed_messages.tag" + std::to_string(tag)).inc();
+}
+
 }  // namespace now

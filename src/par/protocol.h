@@ -20,6 +20,7 @@
 #include "src/image/pixel_codec.h"
 #include "src/net/codec.h"
 #include "src/net/message.h"
+#include "src/obs/metrics.h"
 #include "src/trace/tracer.h"
 
 namespace now {
@@ -162,5 +163,12 @@ std::string encode_frame_result(const FrameResult& result,
 /// payload bytes), the payload structure, and key/delta-vs-layout
 /// consistency. False means the message must be treated as lost in transit.
 bool decode_frame_result(FrameResult* result, const std::string& payload);
+
+/// A message from another rank that its receiver cannot use — a payload that
+/// does not decode, or a tag the receiver does not handle — is dropped and
+/// counted, never asserted on: no peer's bytes may abort a rank. Counts
+/// net.malformed_messages and net.malformed_messages.tag<N> (registered on
+/// first use, so a clean run's metrics carry neither).
+void count_malformed_message(MetricsRegistry& metrics, int tag);
 
 }  // namespace now

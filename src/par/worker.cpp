@@ -36,12 +36,14 @@ void RenderWorker::on_message(Context& ctx, const Message& msg) {
   switch (msg.tag) {
     case kTagTask: {
       RenderTask task;
-      const bool ok = decode_task(&task, msg.payload);
-      assert(ok);
+      if (!decode_task(&task, msg.payload)) {
+        count_malformed_message(MetricsRegistry::of(config_.metrics), msg.tag);
+        break;
+      }
       // A task naming an unknown scene, a region outside that scene's image
       // or frames outside the scene is dropped: rendering it would write
       // past the framebuffer, and a NACK would only bring it back verbatim.
-      if (!ok || !task_fits(task)) break;
+      if (!task_fits(task)) break;
       // A duplicated assignment of the current task is dropped, not
       // asserted: under fault injection the master's message can
       // legitimately arrive twice. A *different* task while busy means the
@@ -62,9 +64,11 @@ void RenderWorker::on_message(Context& ctx, const Message& msg) {
       break;
     case kTagShrink: {
       ShrinkRequest req;
-      const bool ok = decode_shrink(&req, msg.payload);
-      assert(ok);
-      if (ok) handle_shrink(ctx, req);
+      if (decode_shrink(&req, msg.payload)) {
+        handle_shrink(ctx, req);
+      } else {
+        count_malformed_message(MetricsRegistry::of(config_.metrics), msg.tag);
+      }
       break;
     }
     case kTagPing:
@@ -74,16 +78,17 @@ void RenderWorker::on_message(Context& ctx, const Message& msg) {
       break;  // the runtime winds down after the master's stop()
     case kTagRejoin:
       // The runtime restarted this rank's process (elastic membership): all
-      // in-memory state — current task, coherence grid, framebuffer, and the
-      // previous frame — died with it. Announce ourselves like a fresh
-      // worker; the next task's first frame is a dense key frame, as always.
+      // in-memory state — current task, held coherence state, framebuffer,
+      // and the previous frame — died with it. Announce ourselves like a
+      // fresh worker; the next task's first frame is a full render.
       task_.reset();
       renderer_.reset();
       prev_region_.clear();
       ctx.send(0, kTagHello, {});
       break;
     default:
-      assert(false && "worker received unexpected tag");
+      count_malformed_message(MetricsRegistry::of(config_.metrics), msg.tag);
+      break;
   }
 }
 
@@ -110,15 +115,25 @@ void RenderWorker::start_task(Context& ctx, const RenderTask& task) {
   task_ = task;
   next_frame_ = task.first_frame;
   end_frame_ = task.end_frame();
-  const AnimatedScene& scene =
-      *scenes_[static_cast<std::size_t>(task.scene_id)];
-  // Fresh coherence state per task: the first frame of every task is a full
-  // render (the cost that separates the partitioning schemes) and therefore
-  // a dense key frame on the wire — reassigned, speculative, and
-  // post-resume tasks never reference a predecessor they did not render.
-  renderer_ = std::make_unique<CoherentRenderer>(scene, task.region,
-                                                 config_.coherence);
-  fb_ = Framebuffer(scene.width(), scene.height());
+  // Warm start: the held renderer covers this task's scene and region, so
+  // its first frame continues from the last frame rendered here (a full
+  // render only across a camera cut or a light change). Otherwise the held
+  // state is dropped before the new renderer is built, so a worker never
+  // holds two. Either way the first frame goes back dense (render_next_frame):
+  // reassigned, speculative and post-resume tasks never reference a
+  // predecessor the receiver did not get from this task.
+  const bool warm = renderer_ != nullptr &&
+                    renderer_scene_id_ == task.scene_id &&
+                    renderer_->region() == task.region;
+  if (!warm) {
+    renderer_.reset();
+    const AnimatedScene& scene =
+        *scenes_[static_cast<std::size_t>(task.scene_id)];
+    renderer_ = std::make_unique<CoherentRenderer>(scene, task.region,
+                                                   config_.coherence);
+    renderer_scene_id_ = task.scene_id;
+    fb_ = Framebuffer(scene.width(), scene.height());
+  }
   prev_region_.clear();
   ctx.send(ctx.rank(), kTagContinue, {});
 }
@@ -130,7 +145,6 @@ void RenderWorker::render_next_frame(Context& ctx) {
     // shrink, not by rendering, so it is not a completed task — count it
     // separately (and still ask for more work).
     task_.reset();
-    renderer_.reset();
     ++report_.tasks_shrunk_away;
     ctx.send(0, kTagRequest, {});
     return;
@@ -201,9 +215,12 @@ void RenderWorker::render_next_frame(Context& ctx) {
   // honestly slow frames here while compute_seconds stays machine-neutral.
   out.render_seconds = ctx.now() - span_start;
   const PixelRect& region = task_->region;
-  // Ownership boundaries force a dense key frame: the next shard holds no
-  // predecessor pixels for this region, so a sparse chain must never cross.
-  const bool dense_return = r.full_render || !config_.sparse_returns ||
+  // A task's first frame is a key frame even when it continues held
+  // coherence state: the receiver has no predecessor from this task.
+  // Ownership boundaries force one too: the next shard holds no predecessor
+  // pixels for this region, so a sparse chain must never cross.
+  const bool dense_return = next_frame_ == task_->first_frame ||
+                            r.full_render || !config_.sparse_returns ||
                             config_.shards.key_frame_boundary(next_frame_);
   const bool track_delta =
       config_.frame_codec == FrameCodec::kDelta && config_.sparse_returns;
@@ -245,7 +262,6 @@ void RenderWorker::render_next_frame(Context& ctx) {
   ++next_frame_;
   if (next_frame_ >= end_frame_) {
     task_.reset();
-    renderer_.reset();
     ++report_.tasks_completed;
     ctx.send(0, kTagRequest, {});
   } else {

@@ -1,15 +1,21 @@
 // RenderWorker: the slave process of the paper's master/slave PVM program.
 //
-// On receiving a task it builds a fresh CoherentRenderer for the task's
-// pixel region (coherence state never survives task boundaries — which is
-// exactly why sequence division pays a full render per subsequence) and
-// renders the task one frame per kTagContinue self-message, so master
+// A worker holds the coherence state of one region: the CoherentRenderer of
+// its last task and the framebuffer holding that region's last frame. A task
+// for the same region of the same scene continues from that state, whatever
+// frame it starts at (a steal, a reassignment, the next shot of the scene):
+// its first frame recomputes only the pixels whose rays cross voxels that
+// changed since the held frame. Any other task drops the held state and
+// builds a fresh renderer, whose first frame is a full render. This departs
+// from the paper, whose slaves restart coherence with every subsequence. The
+// worker renders a task one frame per kTagContinue self-message, so master
 // control traffic (shrink requests) interleaves between frames.
 //
-// Incremental frames are returned as sparse run-length payloads carrying
-// only the recomputed pixels; full renders go back dense. Every backend
-// encodes and sends each result on the actor thread before the next frame
-// renders, as the paper's slaves do.
+// The first frame of every task goes back as a dense key frame, warm or not:
+// its receiver holds no predecessor of this task's. Later incremental frames
+// are sparse run-length payloads carrying only the recomputed pixels; full
+// renders go back dense. Every backend encodes and sends each result on the
+// actor thread before the next frame renders, as the paper's slaves do.
 #pragma once
 
 #include <memory>
@@ -98,7 +104,10 @@ class RenderWorker final : public Actor {
   WorkerConfig config_;
 
   std::optional<RenderTask> task_;
+  /// The held coherence state: kept across tasks, dropped by kTagRejoin.
+  /// fb_ holds the region's pixels of the renderer's last frame.
   std::unique_ptr<CoherentRenderer> renderer_;
+  std::int32_t renderer_scene_id_ = -1;
   Framebuffer fb_;
   /// Previous frame's region pixels (row-major), kept only under kDelta:
   /// the baseline the value-diff shrinks the sparse mask against.

@@ -1,7 +1,5 @@
 #include "src/shard/shard.h"
 
-#include <cassert>
-
 #include "src/par/protocol.h"
 
 namespace now {
@@ -137,7 +135,7 @@ void FrameShard::on_message(Context& ctx, const Message& msg) {
       // shutdown work (the runtime drains them when the scheduler stops).
       break;
     default:
-      assert(false && "unexpected message tag at shard");
+      count_malformed_message(MetricsRegistry::of(config_.metrics), msg.tag);
       break;
   }
 }

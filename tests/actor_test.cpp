@@ -78,8 +78,33 @@ class WorkerProtocol : public ::testing::Test {
  protected:
   WorkerProtocol()
       : scene_(orbit_scene(2, 8, 32, 24)),
-        worker_(scene_, WorkerConfig{}),
+        worker_(scene_, config_with(&metrics_)),
         ctx_(1, 2) {}
+
+  static WorkerConfig config_with(MetricsRegistry* metrics) {
+    WorkerConfig config;
+    config.metrics = metrics;
+    return config;
+  }
+
+  /// Deliver a task and run it to completion, returning its frame results.
+  static std::vector<FrameResult> run_results(RenderWorker& worker,
+                                              RecordingContext& ctx,
+                                              const RenderTask& task) {
+    worker.on_message(ctx, msg_from(0, kTagTask, encode_task(task)));
+    std::vector<FrameResult> results;
+    for (int guard = 0; guard < 100 && ctx.has(kTagContinue); ++guard) {
+      ctx.take(kTagContinue);
+      worker.on_message(ctx, msg_from(1, kTagContinue));
+      while (ctx.has(kTagFrameResult)) {
+        FrameResult r;
+        EXPECT_TRUE(decode_frame_result(&r, ctx.take(kTagFrameResult).payload));
+        results.push_back(r);
+      }
+    }
+    ctx.take(kTagRequest, 0);
+    return results;
+  }
 
   /// Deliver a task and run the continuation loop to completion, returning
   /// the frames reported.
@@ -118,6 +143,7 @@ class WorkerProtocol : public ::testing::Test {
   }
 
   AnimatedScene scene_;
+  MetricsRegistry metrics_;
   RenderWorker worker_;
   RecordingContext ctx_;
 };
@@ -159,6 +185,97 @@ TEST_F(WorkerProtocol, FirstFrameDenseRestSparse) {
   EXPECT_EQ(results[0].full_render, 1);
   EXPECT_FALSE(results[1].payload.dense);
   EXPECT_EQ(results[1].full_render, 0);
+}
+
+TEST_F(WorkerProtocol, SameRegionTaskContinuesWarmWithADenseFirstFrame) {
+  // The worker keeps the region's coherence state across tasks: a later
+  // task of the same region — here a jump back to an earlier frame —
+  // continues from it. Its first frame is still a dense key frame.
+  const PixelRect tile{0, 0, 16, 24};
+  const std::vector<FrameResult> first =
+      run_results(worker_, ctx_, {1, tile, 4, 3});
+  ASSERT_EQ(first.size(), 3u);
+  EXPECT_EQ(first[0].full_render, 1);
+  const std::vector<FrameResult> second =
+      run_results(worker_, ctx_, {2, tile, 1, 2});
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_TRUE(second[0].payload.dense);
+  EXPECT_EQ(second[0].full_render, 0);
+  EXPECT_LT(second[0].pixels_recomputed, tile.area());
+  EXPECT_FALSE(second[1].payload.dense);
+  // The dense first frame carries the exact pixels of frame 1.
+  const Framebuffer ref = render_world(scene_.world_at(1), 32, 24, {});
+  Framebuffer got(32, 24);
+  apply_payload(&got, second[0].payload);
+  for (int y = tile.y0; y < tile.y0 + tile.height; ++y) {
+    for (int x = tile.x0; x < tile.x0 + tile.width; ++x) {
+      ASSERT_EQ(got.at(x, y), ref.at(x, y)) << x << "," << y;
+    }
+  }
+}
+
+TEST_F(WorkerProtocol, OtherRegionOrSceneFullRenders) {
+  // Scene id 1 is the same animation under another id: held state is keyed
+  // by (scene id, region), never by content.
+  WorkerConfig config = config_with(&metrics_);
+  config.extra_scenes = {&scene_};
+  RenderWorker worker(scene_, config);
+  RecordingContext ctx(1, 2);
+  const PixelRect left{0, 0, 16, 24};
+  const PixelRect right{16, 0, 16, 24};
+  EXPECT_EQ(run_results(worker, ctx, {1, left, 0, 2})[0].full_render, 1);
+  EXPECT_EQ(run_results(worker, ctx, {2, right, 2, 2})[0].full_render, 1);
+  EXPECT_EQ(
+      run_results(worker, ctx, {3, right, 4, 2, 0, /*scene_id=*/1, 0})[0]
+          .full_render,
+      1);
+  EXPECT_EQ(
+      run_results(worker, ctx, {4, right, 6, 2, 0, /*scene_id=*/1, 0})[0]
+          .full_render,
+      0);
+}
+
+TEST_F(WorkerProtocol, RejoinDropsHeldCoherenceState) {
+  const PixelRect tile{0, 0, 32, 24};
+  run_results(worker_, ctx_, {1, tile, 0, 2});
+  worker_.on_message(ctx_, msg_from(0, kTagRejoin));
+  ctx_.take(kTagHello, 0);
+  const std::vector<FrameResult> after =
+      run_results(worker_, ctx_, {2, tile, 2, 2});
+  ASSERT_FALSE(after.empty());
+  EXPECT_EQ(after[0].full_render, 1);
+  EXPECT_EQ(after[0].pixels_recomputed, tile.area());
+}
+
+TEST_F(WorkerProtocol, WarmTaskKeepsKeyFramesAtShardBoundaries) {
+  // Two shards own frames [0, 4) and [4, 8). A warm task's first frame and
+  // the first frame of the next shard's range go back dense, whatever the
+  // coherence state: neither receiver holds a predecessor from this task.
+  WorkerConfig config = config_with(&metrics_);
+  config.frame_codec = FrameCodec::kDelta;
+  config.shards.shard_count = 2;
+  config.shards.worker_count = 1;
+  config.shards.frame_count = scene_.frame_count();
+  RenderWorker worker(scene_, config);
+  RecordingContext ctx(1, config.shards.world_size());
+  const PixelRect tile{0, 0, 16, 24};
+  run_results(worker, ctx, {1, tile, 0, 2});
+  worker.on_message(ctx, msg_from(0, kTagTask, encode_task({2, tile, 3, 5})));
+  std::vector<SentMessage> sent;
+  for (int guard = 0; guard < 100 && ctx.has(kTagContinue); ++guard) {
+    ctx.take(kTagContinue);
+    worker.on_message(ctx, msg_from(1, kTagContinue));
+    while (ctx.has(kTagFrameResult)) sent.push_back(ctx.take(kTagFrameResult));
+  }
+  ASSERT_EQ(sent.size(), 5u);
+  for (const SentMessage& m : sent) {
+    FrameResult r;
+    ASSERT_TRUE(decode_frame_result(&r, m.payload));
+    EXPECT_EQ(r.full_render, 0) << "frame " << r.frame;
+    EXPECT_EQ(m.dest, config.shards.owner_rank(r.frame)) << "frame " << r.frame;
+    const bool key = r.frame == 3 || config.shards.key_frame_boundary(r.frame);
+    EXPECT_EQ(r.payload.dense, key) << "frame " << r.frame;
+  }
 }
 
 TEST_F(WorkerProtocol, ShrinkReducesWork) {
@@ -507,10 +624,9 @@ TEST_F(MasterProtocol, NackedSplitLeavesWorkerIdle) {
   EXPECT_TRUE(ctx.stopped);
 }
 
-#ifdef NDEBUG
-// Failure injection (release builds only — debug builds assert on decode
-// failures to surface bugs loudly): malformed payloads must be ignored, not
-// crash the process or corrupt protocol state.
+// Failure injection: malformed payloads and unknown tags must be dropped and
+// counted (net.malformed_messages), not crash the process or corrupt
+// protocol state — in every build, asserts on.
 TEST_F(MasterProtocol, MalformedPayloadsAreIgnored) {
   auto master = make_master(PartitionScheme::kSequenceDivision, false);
   RecordingContext ctx(0, 2);
@@ -519,11 +635,26 @@ TEST_F(MasterProtocol, MalformedPayloadsAreIgnored) {
   RenderTask task;
   ASSERT_TRUE(decode_task(&task, ctx.take(kTagTask, 1).payload));
 
-  // Garbage frame results and shrink acks: dropped.
+  // Garbage frame results, shrink acks, NACKs and digests, a digest for a
+  // frame outside the animation, and a tag the master does not handle:
+  // dropped.
   master->on_message(ctx, msg_from(1, kTagFrameResult, "not a frame"));
   master->on_message(ctx, msg_from(1, kTagShrinkAck, "zzz"));
+  master->on_message(ctx, msg_from(1, kTagTaskNack, "z"));
+  master->on_message(ctx, msg_from(1, kTagCommitDigest, "no digest"));
+  CommitDigest far;
+  far.worker = 1;
+  far.task_id = task.task_id;
+  far.frame = 1000;
+  master->on_message(ctx,
+                     msg_from(1, kTagCommitDigest, encode_commit_digest(far)));
+  master->on_message(ctx, msg_from(1, 9999, "?"));
   EXPECT_FALSE(ctx.stopped);
   EXPECT_EQ(count("master.frame_results"), 0u);
+  EXPECT_EQ(count("net.malformed_messages"), 5u);
+  EXPECT_EQ(count("net.malformed_messages.tag" +
+                  std::to_string(kTagCommitDigest)),
+            2u);
 
   // The protocol still completes normally afterwards.
   Framebuffer fb(32, 24);
@@ -540,11 +671,19 @@ TEST_F(WorkerProtocol, MalformedTaskAndShrinkAreIgnored) {
   // A valid task still works after the garbage.
   const std::vector<int> frames = run_task({1, {0, 0, 32, 24}, 0, 2});
   EXPECT_EQ(frames, (std::vector<int>{0, 1}));
-  // Garbage shrink is dropped without an ack.
+  // Garbage shrink and an unknown tag are dropped without an answer.
+  ctx_.sent.clear();
   worker_.on_message(ctx_, msg_from(0, kTagShrink, "junk"));
-  EXPECT_FALSE(ctx_.has(kTagShrinkAck));
+  worker_.on_message(ctx_, msg_from(0, 9999, "?"));
+  EXPECT_TRUE(ctx_.sent.empty());
+  const MetricsSnapshot snap = metrics_.snapshot();
+  EXPECT_EQ(snap.counter("net.malformed_messages"), 3u);
+  EXPECT_EQ(snap.counter("net.malformed_messages.tag" + std::to_string(kTagTask)),
+            1u);
+  EXPECT_EQ(
+      snap.counter("net.malformed_messages.tag" + std::to_string(kTagShrink)),
+      1u);
 }
-#endif  // NDEBUG
 
 TEST_F(MasterProtocol, TaskNackRequeuesImmediately) {
   auto master = make_master(PartitionScheme::kSequenceDivision, false);

@@ -130,16 +130,94 @@ TEST(CoherentRenderer, CameraCutForcesFullRender) {
   }
 }
 
-TEST(CoherentRenderer, OutOfOrderFrameFallsBackToFullRender) {
+TEST(CoherentRenderer, OutOfOrderFrameContinuesCoherence) {
+  // Coherence compares the last rendered world with the next one directly,
+  // so a skip ahead under the same camera and lights is incremental.
   const AnimatedScene scene = orbit_scene(3, 8, 48, 36);
   CoherentRenderer renderer(scene, {0, 0, 48, 36});
   Framebuffer fb(48, 36);
   renderer.render_frame(0, &fb);
   renderer.render_frame(1, &fb);
   const FrameRenderResult r = renderer.render_frame(5, &fb);  // skip ahead
-  EXPECT_TRUE(r.full_render);
+  EXPECT_FALSE(r.full_render);
+  EXPECT_LT(r.pixels_recomputed, r.pixels_total);
   const Framebuffer ref = reference_frame(scene, 5, TraceOptions{});
   EXPECT_EQ(fb, ref);
+}
+
+TEST(CoherentRenderer, FramesInAnyOrderMatchFullRender) {
+  // Forward jumps, backward jumps and repeats, on a whole frame and on a
+  // tile: every frame equals a from-scratch render, only the first is a full
+  // render, and a repeated frame recomputes nothing.
+  const AnimatedScene scene = orbit_scene(4, 10, 64, 48);
+  const std::vector<int> order = {0, 3, 9, 2, 2, 5, 1, 8, 0, 0, 7, 4};
+  for (const PixelRect& region :
+       {PixelRect{0, 0, 64, 48}, PixelRect{16, 8, 32, 24}}) {
+    CoherentRenderer renderer(scene, region);
+    Framebuffer fb(64, 48);
+    int last = -1;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const int frame = order[i];
+      const FrameRenderResult r = renderer.render_frame(frame, &fb);
+      EXPECT_EQ(r.full_render, i == 0) << "step " << i;
+      if (frame == last) {
+        EXPECT_EQ(r.pixels_recomputed, 0) << "step " << i;
+        EXPECT_EQ(r.dirty_voxels, 0) << "step " << i;
+      }
+      const Framebuffer ref = reference_frame(scene, frame, TraceOptions{});
+      for (int y = region.y0; y < region.y0 + region.height; ++y) {
+        for (int x = region.x0; x < region.x0 + region.width; ++x) {
+          ASSERT_EQ(fb.at(x, y), ref.at(x, y))
+              << "step " << i << " frame " << frame << " pixel " << x << ","
+              << y;
+        }
+      }
+      last = frame;
+    }
+  }
+}
+
+TEST(CoherentRenderer, JumpAcrossCameraCutIsFullRender) {
+  // Frames 0-3 and 6-7 share the scene's camera; frames 4-5 use another.
+  AnimatedScene scene = orbit_scene(3, 8, 48, 36);
+  const Camera first = scene.camera_at(0);
+  scene.add_camera_cut(
+      4, Camera({5, 5, 5}, {0, 0, 0}, {0, 1, 0}, 50.0, 48.0 / 36.0));
+  scene.add_camera_cut(6, first);
+  CoherentRenderer renderer(scene, {0, 0, 48, 36});
+  Framebuffer fb(48, 36);
+  // {frame, full render expected}: into the cut, within it, out of it, and
+  // from before the cut to after it (equal cameras: continues).
+  const std::vector<std::pair<int, bool>> steps = {
+      {1, true}, {5, true}, {4, false}, {2, true}, {7, false}, {0, false}};
+  for (const auto& [frame, full] : steps) {
+    const FrameRenderResult r = renderer.render_frame(frame, &fb);
+    EXPECT_EQ(r.full_render, full) << "frame " << frame;
+    ASSERT_EQ(fb, reference_frame(scene, frame, TraceOptions{}))
+        << "frame " << frame;
+  }
+}
+
+TEST(CoherentRenderer, JumpAcrossLightChangeIsFullRender) {
+  // The light moves over frames 0-3 and rests from frame 3 on.
+  AnimatedScene scene = orbit_scene(3, 8, 48, 36);
+  Spline path(InterpMode::kLinear);
+  path.add_key(0.0, {0, 0, 0});
+  path.add_key(scene.frame_time(3), {2, 0, 0});
+  scene.add_light(Light::point({-3, 4, 2}, Color{0.8, 0.7, 0.6}, 0.6),
+                  std::make_unique<KeyframeAnimator>(std::move(path)));
+  ASSERT_FALSE(scene.lights_changed(3, 7));
+  CoherentRenderer renderer(scene, {0, 0, 48, 36});
+  Framebuffer fb(48, 36);
+  // {frame, full render expected}.
+  const std::vector<std::pair<int, bool>> steps = {
+      {6, true}, {3, false}, {1, true}, {5, true}, {7, false}, {4, false}};
+  for (const auto& [frame, full] : steps) {
+    const FrameRenderResult r = renderer.render_frame(frame, &fb);
+    EXPECT_EQ(r.full_render, full) << "frame " << frame;
+    ASSERT_EQ(fb, reference_frame(scene, frame, TraceOptions{}))
+        << "frame " << frame;
+  }
 }
 
 TEST(CoherentRenderer, BlockModeMatchesFullRenderToo) {

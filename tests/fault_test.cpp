@@ -235,8 +235,11 @@ TEST(FaultSim, WorkerDeathIsDetectedAndRecoveredPixelExact) {
   EXPECT_GE(result.faults.tasks_reassigned, 1);
   EXPECT_GT(result.faults.frames_reassigned, 0);
   EXPECT_GT(result.faults.detection_latency_seconds, 0.0);
-  // The replacement pays a dense coherence-restart first frame.
+  // The replacement's first frame is the restart price: warm here, since
+  // every sequence-division region is the whole frame and the replacement
+  // holds it, but never free.
   EXPECT_GT(result.faults.restart_work_seconds, 0.0);
+  EXPECT_EQ(result.master.full_renders, 3);  // each worker's first task
   EXPECT_EQ(result.master.frames_completed, scene.frame_count());
 
   const auto ref = reference_frames(scene, config.coherence.trace);

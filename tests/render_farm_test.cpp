@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "src/ckpt/journal.h"
 #include "src/image/image_io.h"
 #include "src/par/serial.h"
@@ -277,11 +280,18 @@ TEST(RenderFarm, AdaptiveBeatsStaticOnHeterogeneousSequenceDivision) {
   EXPECT_LT(a.elapsed_seconds, s.elapsed_seconds);
 }
 
-TEST(RenderFarm, StealingUnderCoherencePaysFullRenderRestarts) {
-  // With coherence on, every adaptive steal restarts coherence on the
-  // stolen range (a full first frame). This is the effect that makes the
-  // paper's sequence division (speedup 5) lose to frame division (speedup
-  // 7): verify the stolen tasks really do full-render.
+std::int64_t trace_arg(const TraceEvent& e, const std::string& key) {
+  for (const TraceEvent::Arg& a : e.args) {
+    if (key == a.key) return a.value;
+  }
+  ADD_FAILURE() << e.name << " has no arg " << key;
+  return -1;
+}
+
+TEST(RenderFarm, StealingUnderCoherenceRestartsOnlyOnANewRegion) {
+  // A thief keeps the coherence state of the last region it rendered. In
+  // sequence division every region is the whole frame, so every steal
+  // continues warm: only the two workers' first tasks full-render.
   const AnimatedScene scene = orbit_scene(3, 12, 48, 36);
   FarmConfig config;
   config.backend = FarmBackend::kSim;
@@ -292,8 +302,64 @@ TEST(RenderFarm, StealingUnderCoherencePaysFullRenderRestarts) {
 
   const FarmResult r = render_farm(scene, config);
   ASSERT_GT(r.master.adaptive_splits, 0);
-  // 2 initial tasks + one full render per successful steal.
-  EXPECT_EQ(r.master.full_renders, 2 + r.master.adaptive_splits);
+  EXPECT_EQ(r.master.full_renders, 2);
+  expect_frames_equal(r.frames, reference_frames(scene, config.coherence.trace),
+                      "sequence division");
+}
+
+TEST(RenderFarm, StealingANewRegionPaysAFullRenderRestart) {
+  // Frame division: a thief whose last region differs from the stolen one
+  // restarts coherence with a full render — the effect that makes the
+  // paper's sequence division lose to frame division — and a thief that
+  // already holds the stolen region continues warm. The two tiles differ
+  // in area, so a rendered frame's pixel count names its region.
+  const AnimatedScene scene = orbit_scene(3, 16, 48, 24);
+  FarmConfig config;
+  config.backend = FarmBackend::kSim;
+  config.worker_speeds = {4.0, 0.25};
+  config.partition.scheme = PartitionScheme::kFrameDivision;
+  config.partition.block_size = 32;  // tiles of 32x24 and 16x24
+  config.partition.adaptive = true;
+  config.partition.min_split_frames = 2;
+  config.obs.trace = true;
+
+  const FarmResult r = render_farm(scene, config);
+  ASSERT_GT(r.master.adaptive_splits, 0);
+  std::map<int, std::int64_t> task_of;  // rank → task of its open render
+  std::map<int, std::int64_t> held;     // rank → area of its last region
+  std::map<int, std::int64_t> last_task;
+  int new_region_steals = 0;
+  int warm_steals = 0;
+  int full_renders = 0;
+  for (const TraceEvent& e : r.trace_events) {
+    if (std::string(e.name) != "frame.render") continue;
+    if (e.phase == TraceEvent::Phase::kBegin) {
+      task_of[e.rank] = trace_arg(e, "task");
+      continue;
+    }
+    if (e.phase != TraceEvent::Phase::kEnd) continue;
+    const std::int64_t task = task_of[e.rank];
+    const std::int64_t area = trace_arg(e, "pixels_total");
+    const bool full = trace_arg(e, "full") != 0;
+    full_renders += full ? 1 : 0;
+    if (last_task.count(e.rank) > 0 && last_task[e.rank] == task) {
+      EXPECT_FALSE(full) << "rank " << e.rank << " task " << task;
+      continue;
+    }
+    // The first frame of a task: a full render exactly when the rank held
+    // another region (or none).
+    const bool new_region = held.count(e.rank) == 0 || held[e.rank] != area;
+    EXPECT_EQ(full, new_region) << "rank " << e.rank << " task " << task;
+    if (held.count(e.rank) > 0) ++(new_region ? new_region_steals : warm_steals);
+    held[e.rank] = area;
+    last_task[e.rank] = task;
+  }
+  EXPECT_GT(new_region_steals, 0);
+  EXPECT_GT(warm_steals, 0);
+  EXPECT_EQ(full_renders, r.master.full_renders);
+  EXPECT_EQ(r.master.full_renders, 2 + new_region_steals);
+  expect_frames_equal(r.frames, reference_frames(scene, config.coherence.trace),
+                      "frame division");
 }
 
 TEST(RenderFarm, WritesFrameFiles) {

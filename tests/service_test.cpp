@@ -667,6 +667,42 @@ TEST(Service, ClassicRunEqualsOneShotService) {
   }
 }
 
+TEST(Service, WorkersKeepTheirTilesAcrossShotsOfAScene) {
+  // Two shots of one scene for one tenant, the second running backwards in
+  // scene time. A worker holds the coherence state of its last tile, and
+  // the dispatcher prefers the tenant's queued task for that tile, so each
+  // worker renders the same tile in both shots and only the first shot pays
+  // full renders.
+  const AnimatedScene scene = orbit_scene(3, 8, 48, 16);
+  FarmConfig config = service_config(3);  // three 16x16 tiles
+  config.partition.adaptive = false;      // task ids stay partition order
+  config.obs.trace = true;
+  ClientScript script;
+  script.actions.push_back(submit_at(0.0, "t", 1.0, 0, 4, 4, 0, "late"));
+  script.actions.push_back(submit_at(0.0, "t", 1.0, 0, 0, 4, 0, "early"));
+  config.service.clients.push_back(script);
+
+  const FarmResult result = render_farm(scene, config);
+  ASSERT_EQ(result.shots.size(), 2u);
+  for (const auto& shot : result.shots) {
+    EXPECT_EQ(shot.summary.phase, ShotPhase::kDone);
+    expect_shot_matches(shot, scene, config.coherence.trace,
+                        shot.summary.label);
+  }
+  // Shot s's tasks are ids 3s..3s+2, one per tile in tile order.
+  std::map<std::int64_t, std::int64_t> worker_of;  // task → worker
+  for (const TraceEvent& e : result.trace_events) {
+    if (std::string(e.name) == "task.assign") {
+      worker_of[trace_arg(e, "task")] = trace_arg(e, "worker");
+    }
+  }
+  ASSERT_EQ(worker_of.size(), 6u);
+  for (int tile = 0; tile < 3; ++tile) {
+    EXPECT_EQ(worker_of[3 + tile], worker_of[tile]) << "tile " << tile;
+  }
+  EXPECT_EQ(result.master.full_renders, 3);
+}
+
 TEST(Service, SimRunsAreDeterministic) {
   const AnimatedScene scene = orbit_scene(3, 8, 48, 36);
   FarmConfig config = service_config(2);

@@ -295,6 +295,31 @@ TEST(ShardFarm, SimShardCountsAreByteIdenticalToSingleMaster) {
   }
 }
 
+TEST(ShardFarm, WarmHybridTasksAreByteIdentical) {
+  // Hybrid queues several subsequence tasks per tile, and a worker is given
+  // its held tile again: most tasks start warm. Their dense first frames and
+  // the boundary key frames keep every shard's chains intact.
+  const AnimatedScene scene = orbit_scene(3, 12, 48, 36);
+  FarmConfig config = shard_config(FarmBackend::kSim, 2);
+  config.partition.scheme = PartitionScheme::kHybrid;
+  config.partition.block_size = 24;
+  config.partition.hybrid_frames = 4;  // the boundary, frame 6, is inside
+  config.partition.adaptive = false;   // a task; no split adds tasks
+  const FarmResult result = render_farm(scene, config);
+  expect_frames_equal(result.frames,
+                      reference_frames(scene, config.coherence.trace),
+                      "hybrid shards=2");
+  for (const ShardReport& s : result.shards) {
+    EXPECT_EQ(s.decode_failures, 0);
+    EXPECT_EQ(s.chain_rejects, 0);
+  }
+  // One key frame per task (4 tiles x 3 subsequences) plus one per tile at
+  // the boundary, and a full render only where a worker takes a tile it
+  // does not hold.
+  EXPECT_EQ(result.metrics.counter("net.key_frames"), 12u + 4u);
+  EXPECT_LT(result.master.full_renders, 12);
+}
+
 TEST(ShardFarm, SchedulerSeesDigestsNotPixels) {
   const AnimatedScene scene = orbit_scene(3, 12, 48, 36);
   const FarmResult result =
